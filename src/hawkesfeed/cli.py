@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, 3 unreadable or malformed input files,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import io
@@ -142,11 +143,7 @@ def cmd_fit(args):
         else:
             grid = DEFAULT_PENALTY_GRID
         cv = cross_validate(cascades, store, users,
-                            FitConfig(penalty_grid=grid,
-                                      post_decay_rate=args.post_decay,
-                                      comment_decay_rate=args.comment_decay,
-                                      pair_mask=pair_mask,
-                                      content_mask=content_mask))
+                            dataclasses.replace(config, penalty_grid=grid))
         config.penalty = cv.best_penalty
         diagnostics["cv_table"] = cv.table
         print(f"cross-validation picked penalty {cv.best_penalty}")
@@ -157,13 +154,22 @@ def cmd_fit(args):
         final_objective=result.final_objective,
         log_likelihood=result.log_likelihood,
         penalty=list(result.penalty),
+        stop_reason=result.stop_reason,
+        projected_gradient_norm=result.projected_gradient_norm,
     )
     io.write_model(args.out, result.params, diagnostics)
-    print(
-        f"fit {'converged' if result.converged else 'stopped'} after "
-        f"{result.iterations} iterations, log-likelihood {result.log_likelihood:.4f} "
-        f"-> {args.out}"
+    summary = (
+        f"after {result.iterations} iterations, log-likelihood "
+        f"{result.log_likelihood:.4f} -> {args.out}"
     )
+    if result.converged:
+        print(f"fit converged {summary}")
+    else:
+        print(
+            f"warning: fit did not converge (stopped by {result.stop_reason}, "
+            f"projected-gradient norm {result.projected_gradient_norm:.3g}) {summary}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -1,17 +1,22 @@
-"""Penalized maximum-likelihood weights by projected gradient descent.
+"""Penalized maximum-likelihood weights by projected Newton.
 
 The objective is the negative log-likelihood plus a per-block weighted l1
 penalty.  On the nonnegative orthant the penalty is linear, so the whole
 objective is smooth wherever it is finite and convex, and the only
-constraint is a coordinate clamp at zero.  Steps are accepted against the
-local quadratic model, which keeps the objective trace monotone; the
-clamp makes exact zeros reachable, so large penalties produce genuinely
-sparse solutions.
+constraint is a coordinate clamp at zero.  With at most a few dozen
+weights the Hessian X^T diag(lambda^-2) X of the design matrix is cheap,
+so every iteration takes a projected Newton step (Bertsekas 1982, SIAM J.
+Control Optim. 20:221): coordinates the gradient pushes down form the
+active set when they sit within epsilon of zero or when their own Newton
+step would cross zero, and take a diagonally scaled gradient step; the
+rest take a Newton step, and an Armijo backtrack along the projection arc
+picks the step length.  No step is accepted that raises the objective, so
+the trace is monotone; the clamp makes exact zeros reachable, so large
+penalties produce genuinely sparse solutions.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,17 +26,21 @@ from .errors import EstimationError
 from .likelihood import (
     build_corpus_terms,
     corpus_log_likelihood,
+    log_likelihood_derivatives,
     penalty_weights,
-    terms_value_and_grad,
-)
-
-_WeightBlocks = namedtuple(
-    "_WeightBlocks",
-    ["post_pair_weights", "post_content_weights",
-     "comment_pair_weights", "comment_content_weights"],
 )
 
 DEFAULT_PENALTY_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
+
+# Bertsekas' epsilon: the widest band above zero that can hold active
+# coordinates; it shrinks with the distance to stationarity.
+_ACTIVE_BAND = 1e-3
+# Armijo sufficient-decrease fraction along the projection arc.
+_ARMIJO = 1e-4
+# Ridge on the unit-diagonal free-set Hessian, for singular ones.
+_RIDGE = 1e-10
+# The line search gives up (stop reason "line search") below this step.
+_MIN_STEP = 1e-18
 
 
 @dataclass
@@ -43,10 +52,7 @@ class FitConfig:
     max_iterations: int = 500
     tolerance: float = 1e-9          # relative objective decrease
     initial_weight: float = 0.01
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    step_grow: float = 2.0
-    max_step: float = 1e8
+    step_shrink: float = 0.5         # backtracking factor of the line search
     intensity_floor: float = 1e-12   # clamp inside log during line search only
     cv_folds: int = 5
     pair_mask: np.ndarray | None = None
@@ -57,8 +63,6 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if not 0 < self.step_shrink < 1:
             raise ValueError("step_shrink must be in (0, 1)")
-        if self.step_grow < 1:
-            raise ValueError("step_grow must be >= 1")
         if self.initial_weight <= 0:
             raise ValueError("initial_weight must be positive")
         if self.cv_folds < 2:
@@ -74,20 +78,8 @@ class FitResult:
     final_objective: float
     log_likelihood: float
     penalty: tuple
-
-
-class _Splitter:
-    """Flat vector <-> four weight blocks."""
-
-    def __init__(self, pair_dim, content_dim):
-        self.cuts = np.cumsum([pair_dim, content_dim, pair_dim, content_dim])[:-1]
-        self.size = 2 * (pair_dim + content_dim)
-
-    def blocks(self, theta):
-        return _WeightBlocks(*np.split(theta, self.cuts))
-
-    def flat(self, grad):
-        return np.concatenate(grad)
+    stop_reason: str                 # "tolerance", "iteration cap" or "line search"
+    projected_gradient_norm: float   # at the returned weights
 
 
 def projected_gradient_norm(theta, grad, mask=None):
@@ -115,6 +107,34 @@ def _full_mask(config, pair_dim, content_dim):
     return np.concatenate([pair, content, pair, content])
 
 
+def _newton_direction(theta, grad, hess, mask):
+    """Bertsekas' projected Newton direction at theta; zero off the mask.
+
+    A coordinate the gradient pushes down is active when it sits within the
+    epsilon band of zero, or when its own Newton step would carry it past
+    zero; an active coordinate moves by its diagonal Newton step, cut at
+    zero.  Coordinates no live event loads (zero curvature) always count as
+    past zero: their slope is the compensator plus the penalty, never
+    negative.  The rest take a Newton step on the free-set Hessian.
+    """
+    curv = np.diag(hess)
+    band = min(_ACTIVE_BAND, float(np.linalg.norm(
+        np.where(mask, theta - np.maximum(theta - grad, 0.0), 0.0))))
+    past = mask & (grad >= 0) & (theta * curv <= grad)
+    within = mask & (grad > 0) & (theta <= band) & ~past
+    newton = mask & ~past & ~within & (curv > 0)
+    direction = np.zeros_like(theta)
+    direction[past] = -theta[past]
+    direction[within] = -grad[within] / curv[within]
+    if newton.any():
+        # Jacobi scaling, plus a ridge for singular free-set Hessians
+        s = 1.0 / np.sqrt(curv[newton])
+        h = s[:, None] * hess[np.ix_(newton, newton)] * s[None, :]
+        h[np.diag_indices_from(h)] += _RIDGE
+        direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
+    return direction
+
+
 def fit(cascades, store, users, config=None, on_iterate=None):
     """Estimate the four weight vectors on a training corpus.
 
@@ -128,85 +148,73 @@ def fit(cascades, store, users, config=None, on_iterate=None):
     if not users:
         raise EstimationError("population is empty")
     kp, kd = store.pair_dim, store.content_dim
-    split = _Splitter(kp, kd)
     mask = _full_mask(config, kp, kd)
     z = penalty_weights(config.penalty)
-    z_flat = np.concatenate([
-        np.full(kp, z[0]), np.full(kd, z[1]), np.full(kp, z[2]), np.full(kd, z[3]),
-    ])
+    z_flat = np.repeat(z, [kp, kd, kp, kd])
     terms = build_corpus_terms(
         cascades, store, users, config.post_decay_rate, config.comment_decay_rate
     )
-    floor = config.intensity_floor
 
-    def value_and_grad(theta):
-        value, grad = terms_value_and_grad(terms, split.blocks(theta), floor=floor)
-        return -value + float(z_flat @ theta), z_flat - split.flat(grad)
-
-    def value(theta):
-        v, _ = terms_value_and_grad(
-            terms, split.blocks(theta), floor=floor, want_grad=False
+    def objective(theta, order=0):
+        """Objective, or with order 2 (objective, gradient, Hessian)."""
+        value, grad, hess = log_likelihood_derivatives(
+            terms, theta, floor=config.intensity_floor, order=order
         )
-        return -v + float(z_flat @ theta)
+        f = -value + float(z_flat @ theta)
+        return (f, z_flat - grad, -hess) if order else f
 
     theta = np.where(mask, config.initial_weight, 0.0)
-    check, _ = terms_value_and_grad(terms, split.blocks(theta), want_grad=False)
+    check, _, _ = log_likelihood_derivatives(terms, theta, order=0)
     if not np.isfinite(check):
         raise EstimationError(
             "objective is not finite at the starting point: some comment has "
             "no feature support under this mask"
         )
 
-    f, g = value_and_grad(theta)
+    f, g, h = objective(theta, 2)
     trace = [f]
-    step = config.initial_step
-    converged = False
+    stop_reason = "iteration cap"
     it = 0
     for it in range(1, config.max_iterations + 1):
-        accepted = False
-        while step > 1e-18:
-            cand = np.maximum(theta - step * g, 0.0)
-            cand[~mask] = 0.0
-            fc = value(cand)
-            delta = cand - theta
-            model = f + g @ delta + (delta @ delta) / (2.0 * step)
-            if fc <= model + 1e-12 * max(1.0, abs(f)):
-                accepted = True
+        direction = _newton_direction(theta, g, h, mask)
+        step = 1.0
+        while step > _MIN_STEP:
+            cand = np.maximum(theta + step * direction, 0.0)
+            fc = objective(cand)
+            if fc <= f and f - fc >= _ARMIJO * float(g @ (theta - cand)):
                 break
             step *= config.step_shrink
-        if not accepted:
+        else:
+            stop_reason = "line search"
             break
         theta = cand
         f_prev, f = f, fc
         trace.append(f)
         if on_iterate is not None:
             on_iterate(theta.copy())
-        g = value_and_grad(theta)[1]
+        _, g, h = objective(theta, 2)
         if (f_prev - f) <= config.tolerance * max(1.0, abs(f_prev)):
-            converged = True
+            stop_reason = "tolerance"
             break
-        step = min(step * config.step_grow, config.max_step)
 
-    blocks = split.blocks(theta)
     params = ModelParams(
-        post_pair_weights=blocks.post_pair_weights,
-        post_content_weights=blocks.post_content_weights,
-        comment_pair_weights=blocks.comment_pair_weights,
-        comment_content_weights=blocks.comment_content_weights,
+        *np.split(theta, np.cumsum([kp, kd, kp])),
         post_decay_rate=config.post_decay_rate,
         comment_decay_rate=config.comment_decay_rate,
         pair_feature_names=list(store.pair_names),
         content_feature_names=list(store.content_names),
     )
-    loglik, _ = terms_value_and_grad(terms, blocks, want_grad=False)
+    loglik, _, _ = log_likelihood_derivatives(terms, theta, order=0)
     return FitResult(
         params=params,
         objective_trace=trace,
         iterations=it,
-        converged=converged,
+        converged=stop_reason == "tolerance",
         final_objective=f,
         log_likelihood=loglik,
         penalty=tuple(z),
+        stop_reason=stop_reason,
+        projected_gradient_norm=projected_gradient_norm(theta, g, mask),
     )
 
 

@@ -1,16 +1,25 @@
-"""Cascade log-likelihood with closed-form compensator and exact gradient.
+"""Cascade log-likelihood as a design matrix times the weights.
 
 For one cascade the log-likelihood is the sum of log intensities of the
 observed comments, each evaluated just before its own arrival, minus the
-integral over the window of every population user's intensity.  Both
-kernels are exponential, so the integral is closed form: a unit of
-influence arriving at minute s and decaying at rate w contributes
-(1 - exp(-w (T - s))) / w over a window ending at T.
+integral over the window of every population user's intensity.  The
+weights enter the intensity linearly and the decay rates are fixed, so
+over a corpus, with theta the four weight blocks laid end to end,
 
-Everything the weights multiply is precomputed once into flat arrays
-(`CorpusTerms`), so each evaluation is a handful of matrix products.
-The layout trades memory for speed: excitation rows are materialized per
-(comment, earlier comment) pair, quadratic in cascade length.
+    log L(theta) = sum_i log(X_i . theta) - c . theta,
+    gradient     = X^T (1 / lambda) - c,
+    Hessian      = -X^T diag(lambda^-2) X,
+
+where X has one row per observed comment and 2 (pair_dim + content_dim)
+columns.  Both kernels are exponential, so the compensator vector c is
+closed form: a unit of influence arriving at minute s and decaying at
+rate w contributes (1 - exp(-w (T - s))) / w over a window ending at T.
+
+The excitation columns follow the exponential-kernel recursion (Ozaki
+1979): one forward pass per cascade carries a decayed count for each
+distinct earlier publisher and one decayed sum of earlier contents.  A
+comment's pair columns are its counts times its pair vectors with those
+publishers, so nothing is stored per (comment, earlier comment) pair.
 """
 
 from __future__ import annotations
@@ -27,169 +36,226 @@ Gradient = namedtuple(
     ["post_pair", "post_content", "comment_pair", "comment_content"],
 )
 
+# Decay lengths one cumulative sum may span before it is rebased; the
+# rebased weights then stay below exp(16) and lose at most ~32 ulp.
+_REBASE_SPAN = 16.0
+
 
 @dataclass(eq=False)
 class CorpusTerms:
     """Weight-independent constants of the likelihood over a fixed corpus."""
 
     n_events: int
-    # one row per observed comment
-    event_pair: np.ndarray          # features of (commenter, post publisher)
-    event_post_content: np.ndarray  # the owning post's content, repeated
-    event_post_decay: np.ndarray    # exp(-post_rate * t_i)
-    # one row per (comment i, earlier comment j) pair
-    prior_pair: np.ndarray          # features of (commenter i, commenter j)
-    prior_content: np.ndarray       # content of comment j
-    prior_decay: np.ndarray         # exp(-comment_rate * (t_i - t_j))
-    prior_owner: np.ndarray         # index of comment i in the event arrays
+    # one row per observed comment, one column per weight
+    design: np.ndarray
     # compensator coefficients: integral = c . weights, summed over cascades
     comp_post_pair: np.ndarray
     comp_post_content: np.ndarray
     comp_comment_pair: np.ndarray
     comp_comment_content: np.ndarray
 
+    def __post_init__(self):
+        self.compensator = np.concatenate([
+            self.comp_post_pair, self.comp_post_content,
+            self.comp_comment_pair, self.comp_comment_content,
+        ])
+
+
+def flat_weights(params):
+    """The four weight blocks laid end to end, in design-column order."""
+    return np.concatenate([
+        params.post_pair_weights, params.post_content_weights,
+        params.comment_pair_weights, params.comment_content_weights,
+    ])
+
+
+def _decayed_prefix_sums(times, rate, values):
+    """Row i: the sum over j < i of exp(-rate (t_i - t_j)) values[j].
+
+    `times` must be sorted.  Each run of rows spanning at most
+    _REBASE_SPAN decay lengths is one cumulative sum on the run's first
+    time; the run's total, decayed, carries into the next run.
+    """
+    out = np.empty_like(values)
+    carry = np.zeros(values.shape[1])
+    start, n = 0, len(times)
+    while start < n:
+        base = times[start]
+        stop = int(np.searchsorted(times, base + _REBASE_SPAN / rate, side="right"))
+        x = rate * (times[start:stop] - base)
+        running = np.cumsum(np.exp(x)[:, None] * values[start:stop], axis=0)
+        out[start] = carry
+        out[start + 1:stop] = np.exp(-x[1:])[:, None] * (carry + running[:-1])
+        carry = carry + running[-1]
+        if stop < n:
+            carry = carry * np.exp(-rate * (times[stop] - base))
+        start = stop
+    return out
+
 
 def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_rate):
     kp = store.pair_dim
     kd = store.content_dim
-    n_users = len(users)
-    pair_cache = {}
+    ids = {}  # publisher -> index, in order of first appearance
 
-    def pair(u, p):
-        v = pair_cache.get((u, p))
-        if v is None:
-            v = pair_cache[(u, p)] = store.pair_vector(u, p)
-        return v
+    def index(name):
+        return ids.setdefault(name, len(ids))
 
-    pop_cache = {}
-
-    def population_sum(p):
-        v = pop_cache.get(p)
-        if v is None:
-            v = pop_cache[p] = sum((pair(u, p) for u in users), np.zeros(kp))
-        return v
-
-    event_pair, event_post_content, event_post_decay = [], [], []
-    prior_pair, prior_content, prior_decay, prior_owner = [], [], [], []
-    cpp = np.zeros(kp)
+    # per observed comment
+    commenter, poster, post_decay, post_content, excite_content = [], [], [], [], []
+    # per (comment, distinct earlier publisher): row, publisher, decayed count
+    link_row, link_publisher, link_count = [], [], []
+    # compensator: each publisher's exposure to the population, and the
+    # content integrals
+    post_publisher, post_exposure, comment_exposure = [], [], []
     cpc = np.zeros(kd)
-    ccp = np.zeros(kp)
     ccc = np.zeros(kd)
     n_events = 0
 
     for cascade in cascades:
-        p0 = cascade.post.publisher
+        p0 = index(cascade.post.publisher)
         d0 = store.event_content(cascade.cascade_id, 0, cascade.post)
         big_t = cascade.window_end
         g_post = (1.0 - np.exp(-post_decay_rate * big_t)) / post_decay_rate
-        cpp += population_sum(p0) * g_post
-        cpc += n_users * g_post * d0
+        post_publisher.append(p0)
+        post_exposure.append(g_post)
+        cpc += g_post * d0
+        n = len(cascade.comments)
+        if not n:
+            continue
         times = np.array([c.time for c in cascade.comments])
-        contents = [
+        who = np.array([index(c.publisher) for c in cascade.comments])
+        contents = np.array([
             store.event_content(cascade.cascade_id, i + 1, c)
             for i, c in enumerate(cascade.comments)
-        ]
-        for i, ci in enumerate(cascade.comments):
-            event_pair.append(pair(ci.publisher, p0))
-            event_post_content.append(d0)
-            event_post_decay.append(np.exp(-post_decay_rate * ci.time))
-            for j in range(i):
-                prior_pair.append(pair(ci.publisher, cascade.comments[j].publisher))
-                prior_content.append(contents[j])
-                prior_decay.append(
-                    np.exp(-comment_decay_rate * (ci.time - times[j]))
-                )
-                prior_owner.append(n_events)
-            n_events += 1
-        if len(cascade.comments):
-            g_comment = (1.0 - np.exp(-comment_decay_rate * (big_t - times))) / comment_decay_rate
-            ccp += sum(
-                population_sum(c.publisher) * g
-                for c, g in zip(cascade.comments, g_comment)
-            )
-            ccc += n_users * (np.vstack(contents).T @ g_comment)
+        ]).reshape(n, kd)
+        commenter.append(who)
+        poster.append(np.full(n, p0))
+        post_decay.append(np.exp(-post_decay_rate * times))
+        post_content.append(np.broadcast_to(d0, (n, kd)))
 
-    def stack(rows, width):
-        return np.vstack(rows) if rows else np.zeros((0, width))
+        publishers, local = np.unique(who, return_inverse=True)
+        m = publishers.size
+        sums = _decayed_prefix_sums(
+            times, comment_decay_rate, np.hstack([np.eye(m)[local], contents])
+        )
+        excite_content.append(sums[:, m:])
+        rows, cols = np.nonzero(sums[:, :m])
+        link_row.append(rows + n_events)
+        link_publisher.append(publishers[cols])
+        link_count.append(sums[rows, cols])
 
+        g_comment = (1.0 - np.exp(-comment_decay_rate * (big_t - times))) / comment_decay_rate
+        comment_exposure.append(g_comment)
+        ccc += contents.T @ g_comment
+        n_events += n
+
+    def cat(parts, dtype=float):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
+    def stack(parts, width):
+        return np.vstack(parts) if parts else np.zeros((0, width))
+
+    commenter, poster = cat(commenter, np.int64), cat(poster, np.int64)
+    link_row = cat(link_row, np.int64)
+    post_decay = cat(post_decay)[:, None]
+    names = list(ids)
+    n_ids = len(names)
+
+    # one store lookup per distinct (commenter, publisher) pair in use
+    keys = np.concatenate([
+        commenter * n_ids + poster,
+        commenter[link_row] * n_ids + cat(link_publisher, np.int64),
+    ])
+    distinct, which = np.unique(keys, return_inverse=True)
+    table = np.zeros((distinct.size, kp))
+    for r, key in enumerate(distinct):
+        u, p = divmod(int(key), n_ids)
+        table[r] = store.pair_vector(names[u], names[p])
+    pair_rows = table[which]
+
+    comment_pair = np.zeros((n_events, kp))
+    if link_row.size:
+        starts = np.flatnonzero(np.diff(link_row, prepend=-1))
+        comment_pair[link_row[starts]] = np.add.reduceat(
+            cat(link_count)[:, None] * pair_rows[n_events:], starts, axis=0
+        )
+    design = np.hstack([
+        post_decay * pair_rows[:n_events],
+        post_decay * stack(post_content, kd),
+        comment_pair,
+        stack(excite_content, kd),
+    ])
+
+    population = np.zeros((n_ids, kp))
+    for k, p in enumerate(names):
+        for u in users:
+            population[k] += store.pair_vector(u, p)
+    posts = np.zeros(n_ids)
+    np.add.at(posts, post_publisher, post_exposure)
+    comments = np.zeros(n_ids)
+    np.add.at(comments, commenter, cat(comment_exposure))
     return CorpusTerms(
         n_events=n_events,
-        event_pair=stack(event_pair, kp),
-        event_post_content=stack(event_post_content, kd),
-        event_post_decay=np.asarray(event_post_decay, dtype=float),
-        prior_pair=stack(prior_pair, kp),
-        prior_content=stack(prior_content, kd),
-        prior_decay=np.asarray(prior_decay, dtype=float),
-        prior_owner=np.asarray(prior_owner, dtype=np.int64),
-        comp_post_pair=cpp,
-        comp_post_content=cpc,
-        comp_comment_pair=ccp,
-        comp_comment_content=ccc,
+        design=design,
+        comp_post_pair=posts @ population,
+        comp_post_content=len(users) * cpc,
+        comp_comment_pair=comments @ population,
+        comp_comment_content=len(users) * ccc,
     )
+
+
+def log_likelihood_derivatives(terms, theta, floor=None, order=1):
+    """Log-likelihood at the flat weights `theta`, with its gradient when
+    `order` >= 1 and its Hessian when `order` == 2 (None otherwise).
+
+    With `floor` set, intensities below it are clamped inside the log and
+    their event terms drop out of both derivatives; this is the optimizer's
+    safeguard, never a reported value.  Without it a nonpositive event
+    intensity yields -inf (and no derivatives).
+    """
+    x = terms.design
+    lam = x @ theta
+    comp = float(terms.compensator @ theta)
+    if floor is None:
+        if lam.size and lam.min() <= 0.0:
+            return -np.inf, None, None
+        safe = lam
+        coef = 1.0 / safe
+    else:
+        safe = np.maximum(lam, floor)
+        coef = np.where(lam >= floor, 1.0 / safe, 0.0)
+    value = float(np.log(safe).sum() - comp)
+    if order < 1:
+        return value, None, None
+    grad = x.T @ coef - terms.compensator
+    if order < 2:
+        return value, grad, None
+    scaled = x * coef[:, None]
+    return value, grad, -(scaled.T @ scaled)
 
 
 def terms_event_intensities(terms, params):
     """Intensity of each observed comment just before its own arrival."""
-    lam = terms.event_post_decay * (
-        terms.event_pair @ params.post_pair_weights
-        + terms.event_post_content @ params.post_content_weights
-    )
-    if terms.prior_owner.size:
-        excite = terms.prior_decay * (
-            terms.prior_pair @ params.comment_pair_weights
-            + terms.prior_content @ params.comment_content_weights
-        )
-        lam = lam + np.bincount(
-            terms.prior_owner, weights=excite, minlength=terms.n_events
-        )
-    return lam
+    return terms.design @ flat_weights(params)
 
 
 def terms_compensator(terms, params):
     """Integral of the whole population's intensity over every window."""
-    return float(
-        terms.comp_post_pair @ params.post_pair_weights
-        + terms.comp_post_content @ params.post_content_weights
-        + terms.comp_comment_pair @ params.comment_pair_weights
-        + terms.comp_comment_content @ params.comment_content_weights
-    )
+    return float(terms.compensator @ flat_weights(params))
 
 
 def terms_value_and_grad(terms, params, floor=None, want_grad=True):
-    """Log-likelihood and optionally its gradient in the four weight blocks.
-
-    With `floor` set, intensities below it are clamped inside the log and
-    their event terms drop out of the gradient; this is the optimizer's
-    safeguard, never a reported value.  Without it a nonpositive event
-    intensity yields -inf (and no gradient).
-    """
-    lam = terms_event_intensities(terms, params)
-    comp = terms_compensator(terms, params)
-    if floor is None:
-        if lam.size and lam.min() <= 0.0:
-            return -np.inf, None
-        safe = lam
-        live = None
-    else:
-        safe = np.maximum(lam, floor)
-        live = lam >= floor
-    value = float(np.log(safe).sum() - comp) if lam.size else -comp
-    if not want_grad:
+    """Log-likelihood and optionally its gradient in the four weight blocks;
+    `floor` as in `log_likelihood_derivatives`."""
+    value, grad, _ = log_likelihood_derivatives(
+        terms, flat_weights(params), floor=floor, order=int(want_grad)
+    )
+    if grad is None:
         return value, None
-    coef = 1.0 / safe
-    if live is not None:
-        coef = np.where(live, coef, 0.0)
-    wt = terms.event_post_decay * coef
-    g_pp = terms.event_pair.T @ wt - terms.comp_post_pair
-    g_pc = terms.event_post_content.T @ wt - terms.comp_post_content
-    if terms.prior_owner.size:
-        wr = terms.prior_decay * coef[terms.prior_owner]
-        g_cp = terms.prior_pair.T @ wr - terms.comp_comment_pair
-        g_cc = terms.prior_content.T @ wr - terms.comp_comment_content
-    else:
-        g_cp = -terms.comp_comment_pair
-        g_cc = -terms.comp_comment_content
-    return value, Gradient(g_pp, g_pc, g_cp, g_cc)
+    cuts = np.cumsum([terms.comp_post_pair.size, terms.comp_post_content.size,
+                      terms.comp_comment_pair.size])
+    return value, Gradient(*np.split(grad, cuts))
 
 
 def cascade_log_likelihood(cascade, params, store, users):

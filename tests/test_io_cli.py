@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hawkesfeed import io
+from hawkesfeed import cli, io
 from hawkesfeed.cli import main
 from hawkesfeed.errors import DataFormatError
 from hawkesfeed.features import Lexicon, build_feature_store, demo_lexicon
+from hawkesfeed.fit import CVResult
 from hawkesfeed.rank_eval import GroupMetrics, RankReport, evaluate
 
 from conftest import direct_store, make_cascade, make_params, random_corpus
@@ -391,6 +392,69 @@ def test_cli_fit_cv_records_the_table(tmp_path):
     record = json.loads(model.read_text())
     table = record["diagnostics"]["cv_table"]
     assert [row["penalty"] for row in table] == [0.0, 0.5]
+
+
+def test_cli_fit_cv_keeps_the_iteration_flags(tmp_path, monkeypatch):
+    # the cross-validation config derives from the main one, so the
+    # optimizer flags reach every fold fit
+    train = tmp_path / "train.jsonl"
+    cli_corpus(train, 6, 31, "tr")
+    store = tmp_path / "store.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    seen = []
+
+    def record(cascades, store, users, config):
+        seen.append(config)
+        return CVResult(best_penalty=0.5, table=[])
+
+    monkeypatch.setattr(cli, "cross_validate", record)
+    assert main(["fit", str(train), "--features", str(store),
+                 "--out", str(tmp_path / "model.json"), "--cv",
+                 "--penalty-grid", "0,0.5", "--max-iterations", "7",
+                 "--tolerance", "1e-5", "--feature-set", "lng",
+                 "--post-decay", "0.05", "--comment-decay", "0.8"]) == 0
+    (config,) = seen
+    assert config.max_iterations == 7
+    assert config.tolerance == 1e-5
+    assert config.penalty_grid == (0.0, 0.5)
+    assert (config.post_decay_rate, config.comment_decay_rate) == (0.05, 0.8)
+    assert not config.pair_mask.any()
+
+
+def test_cli_fit_warns_when_it_does_not_converge(tmp_path, capsys):
+    train = tmp_path / "train.jsonl"
+    cli_corpus(train, 6, 21, "tr")
+    store = tmp_path / "store.json"
+    model = tmp_path / "model.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(train), "--features", str(store),
+                 "--out", str(model), "--max-iterations", "1",
+                 "--post-decay", "0.05", "--comment-decay", "0.8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: fit did not converge")
+    assert "iteration cap" in captured.err
+    assert "converged" not in captured.out
+    diagnostics = json.loads(model.read_text())["diagnostics"]
+    assert diagnostics["converged"] is False
+    assert diagnostics["stop_reason"] == "iteration cap"
+    assert diagnostics["projected_gradient_norm"] > 0.0
+
+
+def test_cli_fit_reports_why_it_converged(tmp_path, capsys):
+    train = tmp_path / "train.jsonl"
+    cli_corpus(train, 6, 21, "tr")
+    store = tmp_path / "store.json"
+    model = tmp_path / "model.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    assert main(["fit", str(train), "--features", str(store),
+                 "--out", str(model),
+                 "--post-decay", "0.05", "--comment-decay", "0.8"]) == 0
+    captured = capsys.readouterr()
+    assert "fit converged" in captured.out and not captured.err
+    diagnostics = json.loads(model.read_text())["diagnostics"]
+    assert diagnostics["stop_reason"] == "tolerance"
+    assert diagnostics["projected_gradient_norm"] >= 0.0
 
 
 def test_cli_fit_feature_set_masks_the_rest(tmp_path):
