@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
+from .likelihood import comment_links
 
 ACTIVITY_HORIZON = 720.0  # minutes; a cascade is active this long after its last event
 
@@ -233,6 +234,7 @@ class EMResult:
     log_likelihood_trace: list[float]
     iterations: int
     converged: bool
+    stop_reason: str  # "tolerance" or "iteration cap"
 
 
 def hwk_intensity(params, user, cascade, local_t):
@@ -249,24 +251,70 @@ def hwk_intensity(params, user, cascade, local_t):
     return float(lam)
 
 
+class _PairDesign:
+    """The pairwise model's sparse design X in COO form.
+
+    Row i is comment i.  Its post column (commenter, poster) holds
+    exp(-post_decay_rate t_i), and each of its comment columns
+    (commenter, earlier publisher) holds that link's decayed count.  The
+    compensator coefficient of a column is its publisher's exposure, so
+    log L(theta) = sum log(X theta) - exposure . theta.
+    """
+
+    def __init__(self, links):
+        n = len(links.names)
+        post_key, comment_key = links.pair_codes()
+        post_cols, post_at = np.unique(post_key, return_inverse=True)
+        comment_cols, comment_at = np.unique(comment_key, return_inverse=True)
+        self.rows = np.concatenate([np.arange(links.n_events), links.link_row])
+        self.cols = np.concatenate([post_at, post_cols.size + comment_at])
+        self.values = np.concatenate([links.post_decay, links.link_count])
+        posts, comments = links.exposures()
+        self.exposure = np.concatenate([posts[post_cols % n], comments[comment_cols % n]])
+
+        def pairs(keys):
+            return [(links.names[k // n], links.names[k % n]) for k in keys.tolist()]
+
+        self.post_keys, self.comment_keys = pairs(post_cols), pairs(comment_cols)
+        self.n_events = links.n_events
+
+    def intensities(self, theta):
+        """lambda = X theta: each comment's intensity just before it lands."""
+        return np.bincount(self.rows, weights=self.values * theta[self.cols],
+                           minlength=self.n_events)
+
+    def score(self, lam):
+        """X^T (1 / lambda)."""
+        return np.bincount(self.cols, weights=self.values / lam[self.rows],
+                           minlength=self.exposure.size)
+
+    def log_likelihood(self, lam, theta):
+        """Value at theta from its intensities lam; -inf when some comment
+        has none."""
+        if lam.size and lam.min() <= 0.0:
+            return -np.inf
+        return float(np.log(lam).sum() - self.exposure @ theta)
+
+
 def hwk_log_likelihood(cascades, params):
     """Full log-likelihood; the population is every user holding a rate."""
-    post_col = {}
-    for (u, p), v in params.post_rates.items():
-        post_col[p] = post_col.get(p, 0.0) + v
-    comment_col = {}
-    for (u, p), v in params.comment_rates.items():
-        comment_col[p] = comment_col.get(p, 0.0) + v
-    value = 0.0
     pd, cd = params.post_decay_rate, params.comment_decay_rate
-    for c in cascades:
-        g_post = (1.0 - np.exp(-pd * c.window_end)) / pd
-        value -= post_col.get(c.post.publisher, 0.0) * g_post
-        for e in c.comments:
-            lam = hwk_intensity(params, e.publisher, c, e.time)
-            value += -np.inf if lam <= 0 else np.log(lam)
-            g_comment = (1.0 - np.exp(-cd * (c.window_end - e.time))) / cd
-            value -= comment_col.get(e.publisher, 0.0) * g_comment
+    links = comment_links(cascades, pd, cd)
+    design = _PairDesign(links)
+    theta = np.array(
+        [params.post_rates.get(k, 0.0) for k in design.post_keys]
+        + [params.comment_rates.get(k, 0.0) for k in design.comment_keys]
+    )
+    value = design.log_likelihood(design.intensities(theta), theta)
+    # rates on pairs the corpus never links still pay their publisher's exposure
+    index = {name: i for i, name in enumerate(links.names)}
+    for rates, keys, exposure in zip((params.post_rates, params.comment_rates),
+                                     (design.post_keys, design.comment_keys),
+                                     links.exposures()):
+        linked = set(keys)
+        for (u, p), v in rates.items():
+            if (u, p) not in linked and p in index:
+                value -= v * exposure[index[p]]
     return float(value)
 
 
@@ -275,88 +323,53 @@ def fit_hwk_em(cascades, post_decay_rate=0.001, comment_decay_rate=0.01,
     """Expectation-maximization over latent parent assignments.
 
     Each comment's parent is either its cascade's post or an earlier
-    comment; responsibilities are proportional to the decayed rate of each
-    candidate.  Rates update as expected counts over integrated exposure,
-    so the trace is monotone.  Stops when the log-likelihood moves less
-    than `tolerance`.
+    comment, with responsibilities proportional to each candidate's
+    decayed rate.  Summed per rate, one E and M step is the multiplicative
+    update theta_k <- theta_k (X^T (1 / lambda))_k / c_k (Veen & Schoenberg
+    2008) on a sparse design X with one row per comment: its post column
+    (commenter, poster) and one comment column per (commenter, distinct
+    earlier publisher) in its cascade, with the decayed count as value.
+    c_k is the exposure of column k's publisher.  One iteration costs
+    O(nonzeros) and the trace is monotone.  Stops when the log-likelihood
+    moves less than `tolerance` ("tolerance") or after `max_iterations`
+    ("iteration cap").
     """
     if not any(c.comments for c in cascades):
         raise EstimationError("training corpus has no comments, nothing to fit")
-    pd, cd = post_decay_rate, comment_decay_rate
-    # exposure denominators are fixed by the data
-    post_exposure = {}   # poster -> sum of post-kernel integrals of their cascades
-    comment_exposure = {}  # commenter -> sum of comment-kernel integrals of their comments
-    post_pairs = set()
-    comment_pairs = set()
-    for c in cascades:
-        g_post = (1.0 - np.exp(-pd * c.window_end)) / pd
-        post_exposure[c.post.publisher] = (
-            post_exposure.get(c.post.publisher, 0.0) + g_post
-        )
-        seen = []
-        for e in c.comments:
-            post_pairs.add((e.publisher, c.post.publisher))
-            for s in seen:
-                comment_pairs.add((e.publisher, s))
-            g_comment = (1.0 - np.exp(-cd * (c.window_end - e.time))) / cd
-            comment_exposure[e.publisher] = (
-                comment_exposure.get(e.publisher, 0.0) + g_comment
-            )
-            seen.append(e.publisher)
-    params = PairwiseHawkesParams(
-        post_rates={k: initial_rate for k in post_pairs},
-        comment_rates={k: initial_rate for k in comment_pairs},
-        post_decay_rate=pd,
-        comment_decay_rate=cd,
-    )
-    trace = [hwk_log_likelihood(cascades, params)]
-    converged = False
+    links = comment_links(cascades, post_decay_rate, comment_decay_rate)
+    design = _PairDesign(links)
+    theta = np.full(design.exposure.size, float(initial_rate))
+    lam = design.intensities(theta)
+    trace = [design.log_likelihood(lam, theta)]
+    stop_reason = "iteration cap"
     it = 0
     for it in range(1, max_iterations + 1):
-        post_num = {}
-        comment_num = {}
-        for c in cascades:
-            poster = c.post.publisher
-            for i, e in enumerate(c.comments):
-                phi0 = params.post_rates.get((e.publisher, poster), 0.0) * np.exp(
-                    -pd * e.time
-                )
-                phi = [
-                    params.comment_rates.get((e.publisher, prior.publisher), 0.0)
-                    * np.exp(-cd * (e.time - prior.time))
-                    for prior in c.comments[:i]
-                ]
-                norm = phi0 + sum(phi)
-                if norm <= 0:
-                    raise EstimationError(
-                        f"comment by {e.publisher} in cascade {c.cascade_id} has "
-                        "no possible parent under the current rates"
-                    )
-                key = (e.publisher, poster)
-                post_num[key] = post_num.get(key, 0.0) + phi0 / norm
-                for prior, ph in zip(c.comments[:i], phi):
-                    k2 = (e.publisher, prior.publisher)
-                    comment_num[k2] = comment_num.get(k2, 0.0) + ph / norm
-        params = PairwiseHawkesParams(
-            post_rates={
-                k: post_num.get(k, 0.0) / post_exposure[k[1]] for k in post_pairs
-            },
-            comment_rates={
-                k: comment_num.get(k, 0.0) / comment_exposure[k[1]]
-                for k in comment_pairs
-            },
-            post_decay_rate=pd,
-            comment_decay_rate=cd,
-        )
-        trace.append(hwk_log_likelihood(cascades, params))
+        if lam.min() <= 0.0:
+            i = int(np.argmax(lam <= 0.0))
+            raise EstimationError(
+                f"comment by {links.names[links.commenter[i]]} in cascade "
+                f"{cascades[links.cascade[i]].cascade_id} has no possible parent "
+                "under the current rates"
+            )
+        theta = theta * design.score(lam) / design.exposure
+        lam = design.intensities(theta)
+        trace.append(design.log_likelihood(lam, theta))
         if abs(trace[-1] - trace[-2]) < tolerance:
-            converged = True
+            stop_reason = "tolerance"
             break
+    n_post = len(design.post_keys)
+    params = PairwiseHawkesParams(
+        post_rates=dict(zip(design.post_keys, theta[:n_post].tolist())),
+        comment_rates=dict(zip(design.comment_keys, theta[n_post:].tolist())),
+        post_decay_rate=post_decay_rate,
+        comment_decay_rate=comment_decay_rate,
+    )
     return EMResult(
         params=params,
         log_likelihood_trace=trace,
         iterations=it,
-        converged=converged,
+        converged=stop_reason == "tolerance",
+        stop_reason=stop_reason,
     )
 
 

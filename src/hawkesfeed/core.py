@@ -15,6 +15,7 @@ their own rates; the two routes agree to floating-point accuracy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -104,15 +105,18 @@ class Cascade:
     def last_event_global(self, before=None):
         """Wall-clock minute of the latest event, optionally strictly before `before`.
 
-        Returns None when no event qualifies.
+        Returns None when no event qualifies.  Event times increase, so the
+        comments that qualify are a prefix, found by bisection.
         """
-        last = None
-        for e in self.events:
-            t = self.origin + e.time
-            if before is not None and t >= before:
-                break
-            last = t
-        return last
+        if before is None:
+            k = len(self.comments)
+        else:
+            k = bisect.bisect_left(self.comments, before,
+                                   key=lambda e: self.origin + e.time)
+        if k:
+            return self.origin + self.comments[k - 1].time
+        t = self.origin + self.post.time
+        return t if before is None or t < before else None
 
 
 def separate_ties(times):

@@ -20,6 +20,8 @@ The excitation columns follow the exponential-kernel recursion (Ozaki
 distinct earlier publisher and one decayed sum of earlier contents.  A
 comment's pair columns are its counts times its pair vectors with those
 publishers, so nothing is stored per (comment, earlier comment) pair.
+`comment_links` is that pass; the featureless pairwise baseline's EM
+(`baselines.fit_hwk_em`) runs on the same links.
 """
 
 from __future__ import annotations
@@ -93,61 +95,106 @@ def _decayed_prefix_sums(times, rate, values):
     return out
 
 
-def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_rate):
-    kp = store.pair_dim
-    kd = store.content_dim
+@dataclass(eq=False)
+class CommentLinks:
+    """Every observed comment of a corpus, linked to the earlier publishers
+    of its cascade.
+
+    Publishers are indexed in order of first appearance.  A link joins a
+    comment to one distinct publisher of earlier comments in its cascade
+    and carries the decayed count, the sum over that publisher's earlier
+    comments j of exp(-w (t_i - t_j)).  Exposures are the closed-form
+    kernel integrals over the window: (1 - exp(-w (T - s))) / w.
+    """
+
+    names: list                   # publisher index -> name
+    poster: np.ndarray            # per cascade: publisher index of the post
+    post_exposure: np.ndarray     # per cascade
+    cascade: np.ndarray           # per comment: index of its cascade
+    commenter: np.ndarray         # per comment: publisher index
+    post_decay: np.ndarray        # per comment: exp(-post_decay_rate t)
+    comment_exposure: np.ndarray  # per comment
+    link_row: np.ndarray          # per link: the comment
+    link_publisher: np.ndarray    # per link: the earlier publisher
+    link_count: np.ndarray        # per link: the decayed count
+    # with a feature store only: the post's content per cascade, and per
+    # comment its own content and the decayed sum of earlier contents
+    post_content: np.ndarray | None = None
+    comment_content: np.ndarray | None = None
+    content_sums: np.ndarray | None = None
+
+    @property
+    def n_events(self):
+        return self.commenter.size
+
+    def pair_codes(self):
+        """(commenter, publisher) pairs coded as commenter * len(names) +
+        publisher: each comment's pair with its poster, and each link's."""
+        n = len(self.names)
+        return (self.commenter * n + self.poster[self.cascade],
+                self.commenter[self.link_row] * n + self.link_publisher)
+
+    def exposures(self):
+        """Each publisher's summed post exposure and comment exposure."""
+        n = len(self.names)
+        return (
+            np.bincount(self.poster, weights=self.post_exposure, minlength=n),
+            np.bincount(self.commenter, weights=self.comment_exposure, minlength=n),
+        )
+
+
+def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
+    """One forward pass of the exponential-kernel recursion per cascade.
+
+    With a feature `store`, the events' contents are looked up and their
+    decayed sums ride along the counts.  Every (comment, distinct earlier
+    publisher) link is kept, even when its count underflows to 0.
+    """
     ids = {}  # publisher -> index, in order of first appearance
 
     def index(name):
         return ids.setdefault(name, len(ids))
 
-    # per observed comment
-    commenter, poster, post_decay, post_content, excite_content = [], [], [], [], []
-    # per (comment, distinct earlier publisher): row, publisher, decayed count
+    poster, post_exposure, post_content = [], [], []
+    cascade_of, commenter, post_decay, comment_exposure = [], [], [], []
+    comment_content, content_sums = [], []
     link_row, link_publisher, link_count = [], [], []
-    # compensator: each publisher's exposure to the population, and the
-    # content integrals
-    post_publisher, post_exposure, comment_exposure = [], [], []
-    cpc = np.zeros(kd)
-    ccc = np.zeros(kd)
     n_events = 0
 
-    for cascade in cascades:
-        p0 = index(cascade.post.publisher)
-        d0 = store.event_content(cascade.cascade_id, 0, cascade.post)
+    for k, cascade in enumerate(cascades):
+        poster.append(index(cascade.post.publisher))
         big_t = cascade.window_end
-        g_post = (1.0 - np.exp(-post_decay_rate * big_t)) / post_decay_rate
-        post_publisher.append(p0)
-        post_exposure.append(g_post)
-        cpc += g_post * d0
+        post_exposure.append((1.0 - np.exp(-post_decay_rate * big_t)) / post_decay_rate)
+        if store is not None:
+            events = np.array([
+                store.event_content(cascade.cascade_id, i, e)
+                for i, e in enumerate(cascade.events)
+            ]).reshape(len(cascade.events), store.content_dim)
+            post_content.append(events[0])
         n = len(cascade.comments)
         if not n:
             continue
         times = np.array([c.time for c in cascade.comments])
         who = np.array([index(c.publisher) for c in cascade.comments])
-        contents = np.array([
-            store.event_content(cascade.cascade_id, i + 1, c)
-            for i, c in enumerate(cascade.comments)
-        ]).reshape(n, kd)
+        cascade_of.append(np.full(n, k))
         commenter.append(who)
-        poster.append(np.full(n, p0))
         post_decay.append(np.exp(-post_decay_rate * times))
-        post_content.append(np.broadcast_to(d0, (n, kd)))
-
-        publishers, local = np.unique(who, return_inverse=True)
-        m = publishers.size
-        sums = _decayed_prefix_sums(
-            times, comment_decay_rate, np.hstack([np.eye(m)[local], contents])
+        comment_exposure.append(
+            (1.0 - np.exp(-comment_decay_rate * (big_t - times))) / comment_decay_rate
         )
-        excite_content.append(sums[:, m:])
-        rows, cols = np.nonzero(sums[:, :m])
+
+        publishers, first, local = np.unique(who, return_index=True, return_inverse=True)
+        m = publishers.size
+        values = np.eye(m)[local]
+        if store is not None:
+            values = np.hstack([values, events[1:]])
+            comment_content.append(events[1:])
+        sums = _decayed_prefix_sums(times, comment_decay_rate, values)
+        content_sums.append(sums[:, m:])
+        rows, cols = np.nonzero(first < np.arange(n)[:, None])
         link_row.append(rows + n_events)
         link_publisher.append(publishers[cols])
         link_count.append(sums[rows, cols])
-
-        g_comment = (1.0 - np.exp(-comment_decay_rate * (big_t - times))) / comment_decay_rate
-        comment_exposure.append(g_comment)
-        ccc += contents.T @ g_comment
         n_events += n
 
     def cat(parts, dtype=float):
@@ -156,18 +203,36 @@ def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_ra
     def stack(parts, width):
         return np.vstack(parts) if parts else np.zeros((0, width))
 
-    commenter, poster = cat(commenter, np.int64), cat(poster, np.int64)
-    link_row = cat(link_row, np.int64)
-    post_decay = cat(post_decay)[:, None]
-    names = list(ids)
+    links = CommentLinks(
+        names=list(ids),
+        poster=np.array(poster, dtype=np.int64),
+        post_exposure=np.array(post_exposure, dtype=float),
+        cascade=cat(cascade_of, np.int64),
+        commenter=cat(commenter, np.int64),
+        post_decay=cat(post_decay),
+        comment_exposure=cat(comment_exposure),
+        link_row=cat(link_row, np.int64),
+        link_publisher=cat(link_publisher, np.int64),
+        link_count=cat(link_count),
+    )
+    if store is not None:
+        kd = store.content_dim
+        links.post_content = stack(post_content, kd)
+        links.comment_content = stack(comment_content, kd)
+        links.content_sums = stack(content_sums, kd)
+    return links
+
+
+def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_rate):
+    kp = store.pair_dim
+    links = comment_links(cascades, post_decay_rate, comment_decay_rate, store)
+    n_events = links.n_events
+    names = links.names
     n_ids = len(names)
+    link_row = links.link_row
 
     # one store lookup per distinct (commenter, publisher) pair in use
-    keys = np.concatenate([
-        commenter * n_ids + poster,
-        commenter[link_row] * n_ids + cat(link_publisher, np.int64),
-    ])
-    distinct, which = np.unique(keys, return_inverse=True)
+    distinct, which = np.unique(np.concatenate(links.pair_codes()), return_inverse=True)
     table = np.zeros((distinct.size, kp))
     for r, key in enumerate(distinct):
         u, p = divmod(int(key), n_ids)
@@ -178,30 +243,28 @@ def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_ra
     if link_row.size:
         starts = np.flatnonzero(np.diff(link_row, prepend=-1))
         comment_pair[link_row[starts]] = np.add.reduceat(
-            cat(link_count)[:, None] * pair_rows[n_events:], starts, axis=0
+            links.link_count[:, None] * pair_rows[n_events:], starts, axis=0
         )
+    post_decay = links.post_decay[:, None]
     design = np.hstack([
         post_decay * pair_rows[:n_events],
-        post_decay * stack(post_content, kd),
+        post_decay * links.post_content[links.cascade],
         comment_pair,
-        stack(excite_content, kd),
+        links.content_sums,
     ])
 
     population = np.zeros((n_ids, kp))
     for k, p in enumerate(names):
         for u in users:
             population[k] += store.pair_vector(u, p)
-    posts = np.zeros(n_ids)
-    np.add.at(posts, post_publisher, post_exposure)
-    comments = np.zeros(n_ids)
-    np.add.at(comments, commenter, cat(comment_exposure))
+    posts, comments = links.exposures()
     return CorpusTerms(
         n_events=n_events,
         design=design,
         comp_post_pair=posts @ population,
-        comp_post_content=len(users) * cpc,
+        comp_post_content=len(users) * (links.post_exposure @ links.post_content),
         comp_comment_pair=comments @ population,
-        comp_comment_content=len(users) * ccc,
+        comp_comment_content=len(users) * (links.comment_exposure @ links.comment_content),
     )
 
 

@@ -73,15 +73,37 @@ def branching_ratio(config):
     return worst / params.comment_decay_rate
 
 
-def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):
-    """One cascade under the configured intensity, by thinning."""
+def _pair_jumps(config):
+    """The U x U matrix whose column p is what one comment by user p adds
+    to every user's rate through the pair weights; refuses a supercritical
+    configuration first."""
     ratio = branching_ratio(config)
     if ratio >= 1.0:
         raise ConfigError(
             f"supercritical configuration: worst-case branching ratio {ratio:.3f} >= 1"
         )
+    params = config.params
+    return np.array(
+        [
+            [
+                float(params.comment_pair_weights @ config.store.pair_vector(u, p))
+                for p in config.users
+            ]
+            for u in config.users
+        ]
+    )
+
+
+def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):
+    """One cascade under the configured intensity, by thinning."""
+    pair_jumps = _pair_jumps(config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    return _thin(config, post, rng, origin, cascade_id, pair_jumps)
+
+
+def _thin(config, post, rng, origin, cascade_id, pair_jumps):
+    """simulate_cascade's thinning loop, given the config's pair jumps."""
     params = config.params
     users = config.users
     kd = params.content_dim
@@ -90,16 +112,6 @@ def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):
         [post_influence(u, post, params, config.store) for u in users]
     )
     comment_terms = np.zeros(len(users))
-    # one comment adds pair_jumps[:, publisher] + content part to every user
-    pair_jumps = np.array(
-        [
-            [
-                float(params.comment_pair_weights @ config.store.pair_vector(u, p))
-                for p in users
-            ]
-            for u in users
-        ]
-    )
     t = 0.0
     comments = []
     truncated = False
@@ -152,18 +164,20 @@ def simulate_corpus(config, n_cascades=None):
     seeds = np.random.SeedSequence(config.seed).spawn(n + 1)
     post_rng = np.random.default_rng(seeds[0])
     kd = config.params.content_dim
+    pair_jumps = _pair_jumps(config)
     cascades = []
     for i in range(n):
         publisher = config.users[i % len(config.users)]
         content = post_rng.uniform(size=kd) if kd else np.zeros(0)
         post = Event(0.0, publisher, content)
         cascades.append(
-            simulate_cascade(
+            _thin(
                 config,
                 post,
-                rng=np.random.default_rng(seeds[i + 1]),
-                origin=i * config.origin_spacing,
-                cascade_id=f"sim-{i:05d}",
+                np.random.default_rng(seeds[i + 1]),
+                i * config.origin_spacing,
+                f"sim-{i:05d}",
+                pair_jumps,
             )
         )
     return cascades

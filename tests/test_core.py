@@ -71,6 +71,36 @@ def test_participants_and_corpus_participants():
     assert corpus_participants([c, c2]) == ["ana", "bo", "cy", "di"]
 
 
+
+def linear_last_event(cascade, before=None):
+    """The plain scan over every event that last_event_global replaces."""
+    last = None
+    for e in cascade.events:
+        t = cascade.origin + e.time
+        if before is not None and t >= before:
+            break
+        last = t
+    return last
+
+
+def test_last_event_global_matches_linear_scan():
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        n = int(rng.integers(0, 12))
+        times = np.unique(rng.uniform(0.01, 9.9, size=n))
+        origin = float(rng.choice([0.0, rng.uniform(-50.0, 50.0), 1e9 + 0.1]))
+        c = make_cascade([(float(t), "bo") for t in times], cascade_id=f"c{k}",
+                         window_end=10.0, origin=origin)
+        instants = [origin + e.time for e in c.events]
+        queries = [None, origin, origin - 1.0, np.nextafter(origin, np.inf),
+                   origin + 20.0, *instants,
+                   *(np.nextafter(t, -np.inf) for t in instants),
+                   *rng.uniform(origin - 1.0, origin + 11.0, size=5)]
+        for before in queries:
+            assert c.last_event_global(before) == linear_last_event(c, before), (
+                k, before)
+
+
 # ------------------------------------------------------------- tie separation
 
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hawkesfeed.core import ModelParams
+from hawkesfeed.core import Event, ModelParams
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.simulate import (
     SimConfig,
     branching_ratio,
     random_sim_config,
+    simulate_cascade,
     simulate_corpus,
 )
 
@@ -146,6 +147,15 @@ def test_explicit_supercritical_params_are_refused():
     with pytest.raises(ConfigError):
         random_sim_config(params=hot, n_users=1, pair_dim=1, content_dim=0)
 
+
+
+def test_simulate_cascade_refuses_a_supercritical_config():
+    config = single_user_config(comment_weight=50.0)
+    assert branching_ratio(config) >= 1.0
+    with pytest.raises(ConfigError):
+        simulate_cascade(config, Event(0.0, "solo"))
+    with pytest.raises(ConfigError):
+        simulate_corpus(config, n_cascades=2)
 
 def test_random_configs_self_normalize_to_subcritical():
     # a 20-user population would be far supercritical at the raw draw
