@@ -30,8 +30,6 @@ from .rank_eval import (
 )
 from .simulate import branching_ratio, simulate_corpus
 
-MODEL_FREE_RANKERS = ("RCHR", "NN", "COX-LNG", "COX-PSY", "HWK")
-
 
 def _decay_flags(p):
     p.add_argument("--post-decay", type=float, default=0.001, metavar="RATE",
@@ -210,7 +208,7 @@ def cmd_evaluate(args):
     store = io.read_store(args.features) if args.features else None
     model = None
     if args.model:
-        if args.ranker in MODEL_FREE_RANKERS:
+        if not args.ranker.startswith("HWK-"):
             print(
                 f"warning: {args.ranker} does not take a model file; ignoring "
                 f"{args.model}",

@@ -8,9 +8,11 @@ every earlier comment excites that user).  Both terms are nonnegative
 weighted sums of features, so the whole intensity is linear in the
 weight vectors.
 
-Intensities can be evaluated from scratch at any time, or carried
-incrementally in an `IntensityState` whose two components decay at
-their own rates; the two routes agree to floating-point accuracy.
+One streaming path carries the intensity: an `IntensityState` holds the
+two terms, `state_at` builds it from scratch at any time (the reference,
+and what `intensity` evaluates), `decay_state` moves it forward and
+`absorb_event` decays it to a comment's arrival and adds that comment's
+jump.  The streaming and scratch routes agree to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -246,18 +248,7 @@ def intensity(user, cascade, t, params, store):
     Only events strictly before t contribute, so the value at an event's
     own timestamp excludes that event's jump.
     """
-    if t < 0:
-        raise ValueError(f"intensity queried at negative time {t}")
-    lam = post_influence(user, cascade.post, params, store) * math.exp(
-        -params.post_decay_rate * t
-    )
-    for c in cascade.comments:
-        if c.time >= t:
-            break
-        lam += comment_influence(user, c, params, store) * math.exp(
-            -params.comment_decay_rate * (t - c.time)
-        )
-    return lam
+    return state_at(user, cascade, t, params, store).intensity
 
 
 @dataclass
@@ -266,7 +257,9 @@ class IntensityState:
 
     `post_term` and `comment_term` decay at their own rates between
     events; their sum is the intensity at `last_update_time`.  Single
-    writer per pair: updates are O(1) and never rewind.
+    writer per pair: updates are O(1) and never rewind.  The clock is the
+    caller's: `state_at` starts it on the cascade's relative axis, and a
+    caller may move `last_update_time` to any axis it then keeps using.
     """
 
     user: str
@@ -280,14 +273,12 @@ class IntensityState:
         return self.post_term + self.comment_term
 
 
-def new_state(user, cascade, params, store):
-    """State at the moment the post appears (relative time 0)."""
-    mu = post_influence(user, cascade.post, params, store)
-    return IntensityState(user, cascade.cascade_id, mu, 0.0, 0.0)
-
-
 def state_at(user, cascade, t, params, store):
-    """Scratch-built state at relative time t, from events strictly before t."""
+    """Scratch-built state at relative time t, from events strictly before t.
+
+    This is the one scratch evaluation of the feature model's intensity;
+    at t = 0 it is the state at the moment the post appears.
+    """
     if t < 0:
         raise ValueError(f"state requested at negative time {t}")
     a = post_influence(user, cascade.post, params, store) * math.exp(
@@ -318,12 +309,12 @@ def decay_state(state, t2, params):
     )
 
 
-def absorb_event(state, comment, params, store):
-    """State just after `comment` lands; requires the state decayed to its time."""
-    if state.last_update_time != comment.time:
-        raise ValueError(
-            f"state sits at {state.last_update_time}, decay it to the comment "
-            f"time {comment.time} before absorbing"
-        )
+def absorb_event(state, comment, t, params, store):
+    """State just after `comment` lands at time t on the state's own clock.
+
+    The state is first decayed to t (which refuses to rewind), then the
+    comment's jump for the state's user is added.
+    """
+    state = decay_state(state, t, params)
     add = comment_influence(state.user, comment, params, store)
     return replace(state, comment_term=state.comment_term + add)

@@ -229,12 +229,14 @@ def _penalty_sort_key(z):
 
 
 def cross_validate(cascades, store, users, config=None):
-    """Pick the l1 penalty by forward-chained temporal folds.
+    """Pick the l1 penalty by blocked k-fold cross-validation in time order.
 
-    Cascades are ordered by initiation and cut into contiguous blocks;
-    each block is held out once and scored by its exact (unclamped)
-    log-likelihood under the weights fitted on the remaining blocks.
-    Ties prefer the larger penalty.
+    Cascades are ordered by initiation and cut into `cv_folds` contiguous
+    blocks; each block is held out once and scored by its exact
+    (unclamped) log-likelihood under the weights fitted on every other
+    block, so each penalty gets `cv_folds` scores.  The folds are not
+    forward-chained: the blocks after the held-out one train too.  Ties
+    prefer the larger penalty.
     """
     config = config or FitConfig()
     ordered = sorted(cascades, key=lambda c: (c.origin, c.cascade_id))

@@ -31,7 +31,7 @@ from .baselines import (
 )
 from .core import (
     Cascade,
-    comment_influence,
+    absorb_event,
     corpus_participants,
     decay_state,
     intensity,
@@ -113,9 +113,16 @@ def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
 
 
 class IntensityRanker:
-    """Serves by model intensity, keeping one decayed state per
-    (user, cascade) pair.  With streaming=False every rank recomputes from
-    the cascade history instead; both modes order identically.
+    """Serves by model intensity from one `IntensityState` per (user, cascade).
+
+    `states` is indexed by cascade, `{cascade_id: {user: state}}`, so an
+    absorb decays and bumps only the states of the cascade that received
+    the comment, through `absorb_event`.  Each rank first keeps only the
+    cascades among its candidates, so the ranker holds at most users ×
+    candidates states however long the stream runs.  In `evaluate_group`
+    a cascade that leaves the candidate set never returns (its window has
+    closed, or under the "active" policy its next comment would already
+    have raised); should a caller bring one back, `state_at` rebuilds it.
 
     States run on the shared global clock: the stream hands rank and
     absorb the same timestamp, so states only ever move forward.  Mapping
@@ -123,37 +130,31 @@ class IntensityRanker:
     the two calls.
     """
 
-    def __init__(self, params, store, streaming=True):
+    def __init__(self, params, store):
         self.params = params
         self.store = store
-        self.streaming = streaming
         self.states = {}
 
     def rank(self, user, t, candidates):
-        if not self.streaming:
-            return prioritize(user, t, candidates, {}, self.params, self.store)
+        self.states = {
+            c.cascade_id: self.states.get(c.cascade_id, {}) for c in candidates
+        }
         current = {}
         for c in candidates:
-            key = (user, c.cascade_id)
-            s = self.states.get(key)
+            users = self.states[c.cascade_id]
+            s = users.get(user)
             if s is None:
                 s = state_at(user, c, t - c.origin, self.params, self.store)
                 s = replace(s, last_update_time=t)
             else:
                 s = decay_state(s, t, self.params)
-            self.states[key] = s
-            current[c.cascade_id] = s
+            users[user] = current[c.cascade_id] = s
         return prioritize(user, t, candidates, current, self.params, self.store)
 
     def absorb(self, cascade, event, t):
-        if not self.streaming:
-            return
-        for key, s in list(self.states.items()):
-            if key[1] != cascade.cascade_id:
-                continue
-            s = decay_state(s, t, self.params)
-            jump = comment_influence(key[0], event, self.params, self.store)
-            self.states[key] = replace(s, comment_term=s.comment_term + jump)
+        users = self.states.get(cascade.cascade_id, {})
+        for user, s in users.items():
+            users[user] = absorb_event(s, event, t, self.params, self.store)
 
 
 class RecencyRanker:

@@ -25,7 +25,6 @@ from hawkesfeed.core import (
     absorb_event,
     decay_state,
     intensity,
-    new_state,
     state_at,
 )
 from hawkesfeed.features import FeatureStore
@@ -156,7 +155,7 @@ def test_03_streaming_states_match_scratch_recomputation():
 
     for cascade in corpus:
         for user in config.users:
-            state = new_state(user, cascade, params, store)
+            state = state_at(user, cascade, 0.0, params, store)
             prev = 0.0
             for comment in cascade.comments:
                 mid = 0.5 * (prev + comment.time)
@@ -165,7 +164,7 @@ def test_03_streaming_states_match_scratch_recomputation():
                     compare(state, cascade, mid)
                 state = decay_state(state, comment.time, params)
                 compare(state, cascade, comment.time)
-                state = absorb_event(state, comment, params, store)
+                state = absorb_event(state, comment, comment.time, params, store)
                 prev = comment.time
             state = decay_state(state, cascade.window_end, params)
             compare(state, cascade, cascade.window_end)

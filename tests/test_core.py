@@ -15,7 +15,6 @@ from hawkesfeed.core import (
     corpus_participants,
     decay_state,
     intensity,
-    new_state,
     post_influence,
     separate_ties,
     state_at,
@@ -250,12 +249,14 @@ def test_streaming_chain_matches_scratch():
     store = direct_store(seed=41)
     params = make_params(seed=42)
     c = make_cascade([(1.0, "bo"), (2.0, "cy"), (6.5, "bo")], seed=43)
-    s = new_state("ana", c, params, store)
+    s = state_at("ana", c, 0.0, params, store)
     for e in c.comments:
-        s = decay_state(s, e.time, params)
         scratch = state_at("ana", c, e.time, params, store)
-        assert s.intensity == pytest.approx(scratch.intensity, rel=1e-12)
-        s = absorb_event(s, e, params, store)
+        assert decay_state(s, e.time, params).intensity == pytest.approx(
+            scratch.intensity, rel=1e-12
+        )
+        # absorb_event decays the state to the comment time itself
+        s = absorb_event(s, e, e.time, params, store)
     s = decay_state(s, 12.0, params)
     assert s.intensity == pytest.approx(
         intensity("ana", c, 12.0, params, store), rel=1e-12
@@ -270,13 +271,13 @@ def test_decay_state_refuses_rewind():
         decay_state(s, 4.0, params)
 
 
-def test_absorb_requires_exact_time():
+def test_absorb_event_refuses_rewind():
     store = direct_store()
     params = make_params()
     c = make_cascade([(2.0, "bo", (0.3, 0.3))])
-    s = state_at("ana", c, 1.0, params, store)
+    s = state_at("ana", c, 3.0, params, store)
     with pytest.raises(ValueError):
-        absorb_event(s, c.comments[0], params, store)
+        absorb_event(s, c.comments[0], c.comments[0].time, params, store)
 
 
 # ------------------------------------------------------------------ properties

@@ -517,9 +517,15 @@ def test_cli_warns_when_model_free_ranker_gets_a_model(tmp_path, capsys):
     assert main(["fit", str(train), "--features", str(store),
                  "--out", str(model), "--max-iterations", "20",
                  "--post-decay", "0.05", "--comment-decay", "0.8"]) == 0
-    assert main(["evaluate", "RCHR", "--train", str(train), "--test", str(test),
-                 "--model", str(model), "--out", str(report)]) == 0
-    assert "ignoring" in capsys.readouterr().err
+    capsys.readouterr()
+    for ranker in ("RCHR", "HWK"):
+        assert main(["evaluate", ranker, "--train", str(train), "--test", str(test),
+                     "--model", str(model), "--out", str(report)]) == 0
+        assert "ignoring" in capsys.readouterr().err
+    assert main(["evaluate", "HWK-ALL", "--train", str(train), "--test", str(test),
+                 "--features", str(store), "--model", str(model),
+                 "--out", str(report)]) == 0
+    assert "ignoring" not in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -19,6 +19,7 @@ from hawkesfeed.rank_eval import (
     prioritize,
 )
 from hawkesfeed.fit import FitConfig
+from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 from conftest import USERS, direct_store, make_cascade, make_params
 
@@ -233,15 +234,80 @@ def test_replay_does_not_mutate_the_input(sim_setup):
 # ---------------------------------------------------------- streaming states
 
 
+class ScratchRanker:
+    """Scores every query from the cascade history; holds no state."""
+
+    def __init__(self, params, store):
+        self.params = params
+        self.store = store
+
+    def rank(self, user, t, candidates):
+        return prioritize(user, t, candidates, {}, self.params, self.store)
+
+    def absorb(self, cascade, event, t):
+        pass
+
+
+class CountedRanker:
+    """Wraps an IntensityRanker and records what it was asked to hold."""
+
+    def __init__(self, ranker):
+        self.ranker = ranker
+        self.cascades = {}
+        self.ranked = set()
+        self.peak_states = 0
+        self.peak_candidates = 0
+
+    def rank(self, user, t, candidates):
+        # the harness hands out the cascades it appends comments to
+        self.cascades.update((c.cascade_id, c) for c in candidates)
+        self.ranked.update((user, c.cascade_id) for c in candidates)
+        self.peak_candidates = max(self.peak_candidates, len(candidates))
+        served = self.ranker.rank(user, t, candidates)
+        self._count()
+        return served
+
+    def absorb(self, cascade, event, t):
+        self.ranker.absorb(cascade, event, t)
+        self._count()
+
+    def _count(self):
+        live = sum(len(users) for users in self.ranker.states.values())
+        self.peak_states = max(self.peak_states, live)
+
+
+class ProbedRanker(CountedRanker):
+    """After every absorb, checks each live state against a scratch
+    intensity on the replay's own cascade copies."""
+
+    def __init__(self, ranker):
+        super().__init__(ranker)
+        self.probed = set()
+
+    def absorb(self, cascade, event, t):
+        super().absorb(cascade, event, t)
+        params, store = self.ranker.params, self.ranker.store
+        for cid, users in self.ranker.states.items():
+            c = self.cascades[cid]
+            for user, state in users.items():
+                assert (state.user, state.cascade_id) == (user, cid)
+                # probe strictly after the last touch so the state's jump at
+                # its own timestamp and the strict-left intensity see the
+                # same event set
+                probed = decay_state(state, state.last_update_time + 0.25, params)
+                local_t = probed.last_update_time - c.origin
+                expected = intensity(user, c, local_t, params, store)
+                assert probed.intensity == pytest.approx(expected, rel=1e-9, abs=1e-12)
+                self.probed.add((user, cid))
+
+
 def test_streaming_and_scratch_ranker_traces_agree(sim_setup):
     config, corpus = sim_setup
     cascades = [c for c in corpus[:12] if c.comments]
     streaming = evaluate_group(
-        IntensityRanker(config.params, config.store, streaming=True), cascades
+        IntensityRanker(config.params, config.store), cascades
     )
-    scratch = evaluate_group(
-        IntensityRanker(config.params, config.store, streaming=False), cascades
-    )
+    scratch = evaluate_group(ScratchRanker(config.params, config.store), cascades)
     assert streaming.rank_trace == scratch.rank_trace
     assert streaming.ave_rank == scratch.ave_rank
 
@@ -249,17 +315,21 @@ def test_streaming_and_scratch_ranker_traces_agree(sim_setup):
 def test_streaming_states_track_scratch_intensities(sim_setup):
     config, corpus = sim_setup
     cascades = [c for c in corpus[:8] if c.comments]
-    ranker = IntensityRanker(config.params, config.store)
+    ranker = ProbedRanker(IntensityRanker(config.params, config.store))
     evaluate_group(ranker, cascades)
-    by_id = {c.cascade_id: c for c in cascades}
-    # probe strictly after the last touch so the state's jump at its own
-    # timestamp and the strict-left intensity see the same event set
-    for (user, cid), state in ranker.states.items():
-        c = by_id[cid]
-        probed = decay_state(state, state.last_update_time + 0.25, config.params)
-        local_t = probed.last_update_time - c.origin
-        expected = intensity(user, c, local_t, config.params, config.store)
-        assert probed.intensity == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    # every state the ranker ever held was probed while it was live
+    assert ranker.probed == ranker.ranked
+
+
+def test_ranker_states_stay_bounded_on_a_long_stream():
+    config = random_sim_config(n_users=6, seed=1, n_cascades=100, horizon=10,
+                               origin_spacing=2)
+    cascades = [c for c in simulate_corpus(config) if c.comments]
+    ranker = CountedRanker(IntensityRanker(config.params, config.store))
+    streamed = evaluate_group(ranker, cascades)
+    scratch = evaluate_group(ScratchRanker(config.params, config.store), cascades)
+    assert streamed.rank_trace == scratch.rank_trace
+    assert ranker.peak_states <= len(config.users) * ranker.peak_candidates
 
 
 # -------------------------------------------------------------- ranker builds
