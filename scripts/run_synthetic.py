@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import hawkesfeed as hf
+from hawkesfeed.likelihood import flat_weights
 
 
 def main():
@@ -40,14 +41,8 @@ def main():
     )
     t0 = time.perf_counter()
     result = hf.fit(train, config.store, config.users, fit_config)
-    truth = np.concatenate([
-        config.params.post_pair_weights, config.params.post_content_weights,
-        config.params.comment_pair_weights, config.params.comment_content_weights,
-    ])
-    fitted = np.concatenate([
-        result.params.post_pair_weights, result.params.post_content_weights,
-        result.params.comment_pair_weights, result.params.comment_content_weights,
-    ])
+    truth = flat_weights(config.params)
+    fitted = flat_weights(result.params)
     rel = np.linalg.norm(fitted - truth) / np.linalg.norm(truth)
     print(
         f"refit in {time.perf_counter() - t0:.1f}s "

@@ -3,7 +3,10 @@ featureless pairwise excitation model.
 
 All rankers produce a total order over whichever candidate cascades they
 are handed; ties are broken by most-recent event time (newest first) and
-then cascade id, the same policy the main model uses.
+then cascade id, the same policy the main model uses.  The pairwise
+model (HWK) is fitted here by EM; `PairwiseHawkesParams.as_feature_model`
+restates it as the feature model with its features taken out, so it is
+served on the feature model's streaming state.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ModelParams
 from .errors import EstimationError
+from .features import FeatureStore
 from .likelihood import comment_links
 
 ACTIVITY_HORIZON = 720.0  # minutes; a cascade is active this long after its last event
@@ -227,6 +232,32 @@ class PairwiseHawkesParams:
     post_decay_rate: float = 0.001
     comment_decay_rate: float = 0.01
 
+    def as_feature_model(self):
+        """The same intensity as a feature model: `(ModelParams, FeatureStore)`.
+
+        Pair (u, p) gets the two-coordinate vector (post rate, comment
+        rate), zero where a rate is missing, and there is no content.  The
+        post weights are (1, 0) and the comment weights (0, 1), so each
+        jump is exactly its rate (1 r + 0 s == r in IEEE arithmetic), and
+        the decay rates carry over.
+        """
+        pairs = {
+            k: np.array([self.post_rates.get(k, 0.0), self.comment_rates.get(k, 0.0)])
+            for k in self.post_rates.keys() | self.comment_rates.keys()
+        }
+        names = ["post_rate", "comment_rate"]
+        store = FeatureStore(pair_names=names, content_names=[], pairs=pairs)
+        params = ModelParams(
+            post_pair_weights=np.array([1.0, 0.0]),
+            post_content_weights=np.zeros(0),
+            comment_pair_weights=np.array([0.0, 1.0]),
+            comment_content_weights=np.zeros(0),
+            post_decay_rate=self.post_decay_rate,
+            comment_decay_rate=self.comment_decay_rate,
+            pair_feature_names=names,
+        )
+        return params, store
+
 
 @dataclass
 class EMResult:
@@ -235,20 +266,6 @@ class EMResult:
     iterations: int
     converged: bool
     stop_reason: str  # "tolerance" or "iteration cap"
-
-
-def hwk_intensity(params, user, cascade, local_t):
-    """Pairwise-rate intensity at relative minute local_t, events before it."""
-    lam = params.post_rates.get((user, cascade.post.publisher), 0.0) * np.exp(
-        -params.post_decay_rate * local_t
-    )
-    for e in cascade.comments:
-        if e.time >= local_t:
-            break
-        lam += params.comment_rates.get((user, e.publisher), 0.0) * np.exp(
-            -params.comment_decay_rate * (local_t - e.time)
-        )
-    return float(lam)
 
 
 class _PairDesign:
@@ -371,11 +388,3 @@ def fit_hwk_em(cascades, post_decay_rate=0.001, comment_decay_rate=0.01,
         converged=stop_reason == "tolerance",
         stop_reason=stop_reason,
     )
-
-
-def rank_hwk(params, user, cascades, t):
-    """Descending pairwise-rate intensity at wall-clock minute t."""
-    scores = [
-        hwk_intensity(params, user, c, t - c.origin) for c in cascades
-    ]
-    return order_candidates(cascades, scores, t)

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from . import io
-from .core import corpus_participants, intensity
+from .core import corpus_participants, state_at
 from .errors import ConfigError, DataFormatError, EstimationError
 from .features import (
     FEATURE_SETS,
@@ -195,10 +195,13 @@ def cmd_rank(args):
     params = io.read_model(args.model)
     cascades = annotate_corpus(cascades, store)
     candidates = candidate_cascades(cascades, args.t, args.policy)
-    ordered = prioritize(args.user, args.t, candidates, {}, params, store)
+    states = {
+        c.cascade_id: state_at(args.user, c, args.t - c.origin, params, store)
+        for c in candidates
+    }
+    ordered = prioritize(args.user, args.t, candidates, states, params, store)
     for position, c in enumerate(ordered):
-        lam = intensity(args.user, c, args.t - c.origin, params, store)
-        print(f"{position}\t{c.cascade_id}\t{lam:.6g}")
+        print(f"{position}\t{c.cascade_id}\t{states[c.cascade_id].intensity:.6g}")
     return 0
 
 

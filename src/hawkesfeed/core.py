@@ -209,9 +209,14 @@ class ModelParams:
 
 
 def event_content(event, dim):
-    """Content vector of an event, or zeros when it carries none."""
+    """Content vector of an event, or zeros when it carries none.
+
+    A model with no content coordinates (dim 0, as in the pairwise
+    baseline's `as_feature_model`) has no content term, so it gets the
+    empty vector whatever the event carries; any other mismatch raises.
+    """
     cf = event.content_features
-    if cf.size == 0:
+    if cf.size == 0 or dim == 0:
         return np.zeros(dim)
     if cf.size != dim:
         raise ConfigError(
@@ -301,11 +306,12 @@ def decay_state(state, t2, params):
         raise ValueError(
             f"state at {state.last_update_time} cannot rewind to {t2}"
         )
-    return replace(
-        state,
-        post_term=state.post_term * math.exp(-params.post_decay_rate * dt),
-        comment_term=state.comment_term * math.exp(-params.comment_decay_rate * dt),
-        last_update_time=t2,
+    return IntensityState(
+        state.user,
+        state.cascade_id,
+        state.post_term * math.exp(-params.post_decay_rate * dt),
+        state.comment_term * math.exp(-params.comment_decay_rate * dt),
+        t2,
     )
 
 
@@ -316,5 +322,5 @@ def absorb_event(state, comment, t, params, store):
     comment's jump for the state's user is added.
     """
     state = decay_state(state, t, params)
-    add = comment_influence(state.user, comment, params, store)
-    return replace(state, comment_term=state.comment_term + add)
+    state.comment_term += comment_influence(state.user, comment, params, store)
+    return state

@@ -26,17 +26,11 @@ publishers, so nothing is stored per (comment, earlier comment) pair.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError
-
-Gradient = namedtuple(
-    "Gradient",
-    ["post_pair", "post_content", "comment_pair", "comment_content"],
-)
 
 # Decay lengths one cumulative sum may span before it is rebased; the
 # rebased weights then stay below exp(16) and lose at most ~32 ulp.
@@ -51,16 +45,7 @@ class CorpusTerms:
     # one row per observed comment, one column per weight
     design: np.ndarray
     # compensator coefficients: integral = c . weights, summed over cascades
-    comp_post_pair: np.ndarray
-    comp_post_content: np.ndarray
-    comp_comment_pair: np.ndarray
-    comp_comment_content: np.ndarray
-
-    def __post_init__(self):
-        self.compensator = np.concatenate([
-            self.comp_post_pair, self.comp_post_content,
-            self.comp_comment_pair, self.comp_comment_content,
-        ])
+    compensator: np.ndarray
 
 
 def flat_weights(params):
@@ -258,14 +243,12 @@ def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_ra
         for u in users:
             population[k] += store.pair_vector(u, p)
     posts, comments = links.exposures()
-    return CorpusTerms(
-        n_events=n_events,
-        design=design,
-        comp_post_pair=posts @ population,
-        comp_post_content=len(users) * (links.post_exposure @ links.post_content),
-        comp_comment_pair=comments @ population,
-        comp_comment_content=len(users) * (links.comment_exposure @ links.comment_content),
-    )
+    return CorpusTerms(n_events=n_events, design=design, compensator=np.concatenate([
+        posts @ population,
+        len(users) * (links.post_exposure @ links.post_content),
+        comments @ population,
+        len(users) * (links.comment_exposure @ links.comment_content),
+    ]))
 
 
 def log_likelihood_derivatives(terms, theta, floor=None, order=1):
@@ -298,56 +281,26 @@ def log_likelihood_derivatives(terms, theta, floor=None, order=1):
     return value, grad, -(scaled.T @ scaled)
 
 
-def terms_event_intensities(terms, params):
-    """Intensity of each observed comment just before its own arrival."""
-    return terms.design @ flat_weights(params)
-
-
-def terms_compensator(terms, params):
-    """Integral of the whole population's intensity over every window."""
-    return float(terms.compensator @ flat_weights(params))
-
-
-def terms_value_and_grad(terms, params, floor=None, want_grad=True):
-    """Log-likelihood and optionally its gradient in the four weight blocks;
-    `floor` as in `log_likelihood_derivatives`."""
-    value, grad, _ = log_likelihood_derivatives(
-        terms, flat_weights(params), floor=floor, order=int(want_grad)
-    )
-    if grad is None:
-        return value, None
-    cuts = np.cumsum([terms.comp_post_pair.size, terms.comp_post_content.size,
-                      terms.comp_comment_pair.size])
-    return value, Gradient(*np.split(grad, cuts))
-
-
-def cascade_log_likelihood(cascade, params, store, users):
-    """Exact log-likelihood of one cascade under the given weights.
+def corpus_log_likelihood(cascades, params, store, users):
+    """Exact log-likelihood of a corpus under the given weights.
 
     -inf when some observed comment has zero intensity, which happens
     whenever the weights give that comment no support.
     """
     terms = build_corpus_terms(
-        [cascade], store, users, params.post_decay_rate, params.comment_decay_rate
-    )
-    value, _ = terms_value_and_grad(terms, params, want_grad=False)
-    return value
-
-
-def corpus_log_likelihood(cascades, params, store, users):
-    terms = build_corpus_terms(
         cascades, store, users, params.post_decay_rate, params.comment_decay_rate
     )
-    value, _ = terms_value_and_grad(terms, params, want_grad=False)
+    value, _, _ = log_likelihood_derivatives(terms, flat_weights(params), order=0)
     return value
 
 
 def gradient(cascades, params, store, users):
-    """Exact gradient of the summed log-likelihood in the four weight blocks."""
+    """Exact gradient of the summed log-likelihood, flat in `flat_weights`
+    order; raises EstimationError where the log-likelihood is -inf."""
     terms = build_corpus_terms(
         cascades, store, users, params.post_decay_rate, params.comment_decay_rate
     )
-    value, grad = terms_value_and_grad(terms, params)
+    _, grad, _ = log_likelihood_derivatives(terms, flat_weights(params))
     if grad is None:
         raise EstimationError(
             "log-likelihood is -inf at these weights: some observed comment "

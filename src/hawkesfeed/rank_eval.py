@@ -24,7 +24,6 @@ from .baselines import (
     fit_hwk_em,
     order_candidates,
     rank_cox,
-    rank_hwk,
     rank_nn,
     rank_rchr,
     update_profile,
@@ -145,7 +144,7 @@ class IntensityRanker:
             s = users.get(user)
             if s is None:
                 s = state_at(user, c, t - c.origin, self.params, self.store)
-                s = replace(s, last_update_time=t)
+                s.last_update_time = t
             else:
                 s = decay_state(s, t, self.params)
             users[user] = current[c.cascade_id] = s
@@ -197,15 +196,12 @@ class CoxRanker:
         pass
 
 
-class PairwiseRanker:
+class PairwiseRanker(IntensityRanker):
+    """The featureless pairwise baseline (HWK), served on the feature
+    model's streaming state through `PairwiseHawkesParams.as_feature_model`."""
+
     def __init__(self, params):
-        self.params = params
-
-    def rank(self, user, t, candidates):
-        return rank_hwk(self.params, user, candidates, t)
-
-    def absorb(self, cascade, event, t):
-        pass
+        super().__init__(*params.as_feature_model())
 
 
 def comment_profiles(cascades, store):

@@ -53,45 +53,40 @@ class SimConfig:
             )
 
 
+def _jumps_and_ratio(config):
+    """The U x U matrix whose column p is what one comment by user p adds
+    to every user's rate through the pair weights, and the worst-case
+    branching ratio read from its columns."""
+    params, users = config.params, config.users
+    pair_jumps = np.array([
+        [float(params.comment_pair_weights @ config.store.pair_vector(u, p)) for p in users]
+        for u in users
+    ])
+    content_part = float(params.comment_content_weights @ np.ones(params.content_dim))
+    worst = 0.0
+    for column in pair_jumps.T.tolist():
+        worst = max(worst, sum(j + content_part for j in column))
+    return pair_jumps, worst / params.comment_decay_rate
+
+
 def branching_ratio(config):
     """Worst-case expected comments bred by one comment.
 
     Maximizes over possible comment publishers and charges the full
     content weight (content features live in [0, 1]).
     """
-    params = config.params
-    ones = np.ones(params.content_dim)
-    content_part = float(params.comment_content_weights @ ones)
-    worst = 0.0
-    for p in config.users:
-        total = sum(
-            float(params.comment_pair_weights @ config.store.pair_vector(u, p))
-            + content_part
-            for u in config.users
-        )
-        worst = max(worst, total)
-    return worst / params.comment_decay_rate
+    return _jumps_and_ratio(config)[1]
 
 
 def _pair_jumps(config):
-    """The U x U matrix whose column p is what one comment by user p adds
-    to every user's rate through the pair weights; refuses a supercritical
-    configuration first."""
-    ratio = branching_ratio(config)
+    """The comment pair-jump matrix of `_jumps_and_ratio`; refuses a
+    supercritical configuration."""
+    pair_jumps, ratio = _jumps_and_ratio(config)
     if ratio >= 1.0:
         raise ConfigError(
             f"supercritical configuration: worst-case branching ratio {ratio:.3f} >= 1"
         )
-    params = config.params
-    return np.array(
-        [
-            [
-                float(params.comment_pair_weights @ config.store.pair_vector(u, p))
-                for p in config.users
-            ]
-            for u in config.users
-        ]
-    )
+    return pair_jumps
 
 
 def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):

@@ -80,6 +80,24 @@ def random_corpus(n_cascades=8, seed=5, users=USERS, content_dim=2,
     return cascades
 
 
+def hwk_intensity(params, user, cascade, local_t):
+    """Pairwise-rate intensity at relative minute local_t, events before it.
+
+    The baseline's own scratch loop before it was served on the feature
+    model's state, kept as the oracle for the HWK likelihood and traces.
+    """
+    lam = params.post_rates.get((user, cascade.post.publisher), 0.0) * np.exp(
+        -params.post_decay_rate * local_t
+    )
+    for e in cascade.comments:
+        if e.time >= local_t:
+            break
+        lam += params.comment_rates.get((user, e.publisher), 0.0) * np.exp(
+            -params.comment_decay_rate * (local_t - e.time)
+        )
+    return float(lam)
+
+
 @pytest.fixture(scope="session")
 def sim_setup():
     """One simulated corpus reused by read-only tests."""

@@ -31,8 +31,8 @@ from hawkesfeed.features import FeatureStore
 from hawkesfeed.fit import FitConfig, fit
 from hawkesfeed.likelihood import (
     build_corpus_terms,
-    cascade_log_likelihood,
-    terms_value_and_grad,
+    corpus_log_likelihood,
+    log_likelihood_derivatives,
 )
 from hawkesfeed.rank_eval import (
     candidate_cascades,
@@ -59,12 +59,6 @@ def check(label, ok, detail):
     assert ok, line
 
 
-def pack(theta, pair_dim=3, content_dim=2, decays=DECAYS):
-    splits = np.cumsum([pair_dim, content_dim, pair_dim])
-    blocks = np.split(np.asarray(theta, dtype=float), splits)
-    return ModelParams(*blocks, *decays)
-
-
 def flat(params):
     return np.concatenate([
         params.post_pair_weights, params.post_content_weights,
@@ -80,17 +74,14 @@ def test_01_gradient_matches_central_differences():
     terms = build_corpus_terms(corpus, store, USERS, *DECAYS)
 
     def value(theta):
-        params = pack(theta, pair_dim=2, content_dim=1)
-        v, _ = terms_value_and_grad(terms, params, want_grad=False)
-        return v
+        return log_likelihood_derivatives(terms, theta, order=0)[0]
 
     rng = np.random.default_rng(1)
     h = 1e-6
     worst = 0.0
     for _ in range(20):
         theta = rng.uniform(0.05, 1.0, 6)
-        _, grad = terms_value_and_grad(terms, pack(theta, pair_dim=2, content_dim=1))
-        analytic = np.concatenate(grad)
+        _, analytic, _ = log_likelihood_derivatives(terms, theta)
         fd = np.zeros_like(analytic)
         for k in range(theta.size):
             up, down = theta.copy(), theta.copy()
@@ -127,7 +118,7 @@ def test_02_log_likelihood_matches_adaptive_quadrature():
             for a, b in zip(knots, knots[1:])
         )
         oracle = events - compensator
-        value = cascade_log_likelihood(cascade, params, store, USERS)
+        value = corpus_log_likelihood([cascade], params, store, USERS)
         rel = abs(value - oracle) / max(1.0, abs(oracle))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -250,8 +241,7 @@ def test_06_objectives_are_convex_along_chords():
     terms = build_corpus_terms(corpus, store, USERS, *DECAYS)
 
     def nll(theta):
-        v, _ = terms_value_and_grad(terms, pack(theta), want_grad=False)
-        return -v
+        return -log_likelihood_derivatives(terms, theta, order=0)[0]
 
     rng = np.random.default_rng(66)
     worst_main = -np.inf

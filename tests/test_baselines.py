@@ -11,20 +11,20 @@ from hawkesfeed.baselines import (
     _cox_design,
     fit_cox,
     fit_hwk_em,
-    hwk_intensity,
     hwk_log_likelihood,
     order_candidates,
     rank_cox,
-    rank_hwk,
     rank_nn,
     rank_rchr,
     update_profile,
 )
 from hawkesfeed.baselines import PairwiseHawkesParams
+from hawkesfeed.core import intensity
 from hawkesfeed.errors import EstimationError
 from hawkesfeed.features import FeatureStore
+from hawkesfeed.rank_eval import PairwiseRanker
 
-from conftest import direct_store, make_cascade, random_corpus
+from conftest import direct_store, hwk_intensity, make_cascade, random_corpus
 
 
 def content_store(dim=1):
@@ -233,9 +233,10 @@ def test_hwk_intensity_hand_value():
     )
     c = make_cascade([(2.0, "cy"), (4.0, "di")], cascade_id="A", poster="ana")
     expected = 0.3 * math.exp(-0.05 * 5.0) + 0.5 * math.exp(-0.8 * 3.0)
-    assert hwk_intensity(params, "bo", c, 5.0) == pytest.approx(expected, rel=1e-12)
+    model, store = params.as_feature_model()
+    assert intensity("bo", c, 5.0, model, store) == pytest.approx(expected, rel=1e-12)
     # the di comment holds no rate for bo and adds nothing
-    assert hwk_intensity(params, "bo", c, 4.0) == pytest.approx(
+    assert intensity("bo", c, 4.0, model, store) == pytest.approx(
         0.3 * math.exp(-0.05 * 4.0) + 0.5 * math.exp(-0.8 * 2.0), rel=1e-12
     )
 
@@ -356,4 +357,4 @@ def test_rank_hwk_orders_by_intensity():
     )
     a = make_cascade([], cascade_id="A", poster="ana", origin=0.0)
     b = make_cascade([], cascade_id="B", poster="cy", origin=0.0)
-    assert ids(rank_hwk(params, "bo", [b, a], 2.0)) == ["A", "B"]
+    assert ids(PairwiseRanker(params).rank("bo", 2.0, [b, a])) == ["A", "B"]

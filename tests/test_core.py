@@ -14,6 +14,7 @@ from hawkesfeed.core import (
     comment_influence,
     corpus_participants,
     decay_state,
+    event_content,
     intensity,
     post_influence,
     separate_ties,
@@ -177,6 +178,27 @@ def test_post_influence_checks_dimensions():
     params = make_params(pair_dim=4)
     with pytest.raises(ConfigError):
         post_influence("bo", Event(0.0, "ana"), params, direct_store(pair_dim=3))
+
+
+def test_event_content_without_content_coordinates_ignores_the_event():
+    event = Event(1.0, "ana", [0.2, 0.7])
+    assert event_content(event, 0).shape == (0,)
+    assert event_content(Event(1.0, "ana"), 0).shape == (0,)
+    # a content-free model scores content-carrying events by pairs alone
+    params = ModelParams(
+        post_pair_weights=[1.0], post_content_weights=[],
+        comment_pair_weights=[1.0], comment_content_weights=[],
+    )
+    assert comment_influence("bo", event, params, FeatureStoreStub()) == 1.0
+
+
+def test_event_content_refuses_a_dimension_mismatch():
+    event = Event(1.0, "ana", [0.2, 0.7])
+    assert event_content(event, 2) is event.content_features
+    assert event_content(Event(1.0, "ana"), 3).tolist() == [0.0, 0.0, 0.0]
+    for dim in (1, 3):
+        with pytest.raises(ConfigError):
+            event_content(event, dim)
 
 
 def test_decay_factor_after_thousand_minutes():

@@ -19,12 +19,11 @@ import hawkesfeed
 from hawkesfeed.baselines import (
     PairwiseHawkesParams,
     fit_hwk_em,
-    hwk_intensity,
     hwk_log_likelihood,
 )
 from hawkesfeed.errors import EstimationError
 
-from conftest import USERS, make_cascade, random_corpus
+from conftest import USERS, hwk_intensity, make_cascade, random_corpus
 
 
 def oracle_log_likelihood(cascades, params):

@@ -75,11 +75,10 @@ def test_projected_gradient_vanishes_at_solution():
     config = fit_config(penalty=0.1, tolerance=1e-13, max_iterations=3000)
     result = fit(corpus, store, USERS, config)
     grad = gradient(corpus, result.params, store, USERS)
-    z = penalty_weights(0.1)
-    obj_grad = np.concatenate([
-        -grad.post_pair + z[0], -grad.post_content + z[1],
-        -grad.comment_pair + z[2], -grad.comment_content + z[3],
-    ])
+    p = result.params
+    z = np.repeat(penalty_weights(0.1),
+                  [p.pair_dim, p.content_dim, p.pair_dim, p.content_dim])
+    obj_grad = -grad + z
     norm = projected_gradient_norm(flat_weights(result.params), obj_grad)
     assert norm < 1e-4 * max(1.0, abs(result.final_objective))
 

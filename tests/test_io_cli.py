@@ -5,8 +5,14 @@ import pytest
 
 from hawkesfeed import cli, io
 from hawkesfeed.cli import main
+from hawkesfeed.core import intensity
 from hawkesfeed.errors import DataFormatError
-from hawkesfeed.features import Lexicon, build_feature_store, demo_lexicon
+from hawkesfeed.features import (
+    Lexicon,
+    annotate_corpus,
+    build_feature_store,
+    demo_lexicon,
+)
 from hawkesfeed.fit import CVResult
 from hawkesfeed.rank_eval import GroupMetrics, RankReport, evaluate
 
@@ -365,6 +371,13 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert rows, "rank printed no candidates"
     scores = [float(r[2]) for r in rows]
     assert scores == sorted(scores, reverse=True)
+    # each printed score is the model's intensity at --t
+    ranked = {c.cascade_id: c for c in annotate_corpus(io.read_corpus(test),
+                                                       io.read_store(store))}
+    params, features = io.read_model(model), io.read_store(store)
+    for _, cid, score in rows:
+        c = ranked[cid]
+        assert score == f"{intensity('ana', c, 12.0 - c.origin, params, features):.6g}"
 
     assert main(["evaluate", "RCHR", "--train", str(train), "--test", str(test),
                  "--out", str(report)]) == 0

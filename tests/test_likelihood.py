@@ -8,14 +8,12 @@ from hawkesfeed.core import comment_influence, intensity, post_influence
 from hawkesfeed.errors import EstimationError
 from hawkesfeed.likelihood import (
     build_corpus_terms,
-    cascade_log_likelihood,
     corpus_log_likelihood,
+    flat_weights,
     gradient,
+    log_likelihood_derivatives,
     objective,
     penalty_weights,
-    terms_compensator,
-    terms_event_intensities,
-    terms_value_and_grad,
 )
 
 from conftest import USERS, direct_store, make_cascade, make_params, random_corpus
@@ -61,7 +59,7 @@ def test_single_comment_cascade_hand_value():
         comp += comment_influence(u, cascade.comments[0], params, store) \
             * (1.0 - math.exp(-wa * (big_t - t1))) / wa
     expected = math.log(lam1) - comp
-    got = cascade_log_likelihood(cascade, params, store, USERS)
+    got = corpus_log_likelihood([cascade], params, store, USERS)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -74,7 +72,7 @@ def test_empty_cascade_is_minus_post_compensator():
     expected = -sum(
         post_influence(u, cascade.post, params, store) for u in USERS
     ) * g
-    got = cascade_log_likelihood(cascade, params, store, USERS)
+    got = corpus_log_likelihood([cascade], params, store, USERS)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -94,7 +92,8 @@ def test_compensator_matches_per_event_closed_form():
             for c in cascade.comments:
                 expected += comment_influence(u, c, params, store) \
                     * (1.0 - math.exp(-wa * (big_t - c.time))) / wa
-    assert terms_compensator(terms, params) == pytest.approx(expected, rel=1e-12)
+    got = float(terms.compensator @ flat_weights(params))
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------------------- oracles
@@ -107,7 +106,7 @@ def test_log_likelihood_matches_quadrature():
         corpus = random_corpus(n_cascades=3, seed=seed, mean_comments=4)
         for cascade in corpus:
             expected = quadrature_log_likelihood(cascade, params, store, USERS)
-            got = cascade_log_likelihood(cascade, params, store, USERS)
+            got = corpus_log_likelihood([cascade], params, store, USERS)
             assert got == pytest.approx(expected, rel=1e-8)
 
 
@@ -116,7 +115,7 @@ def test_event_intensities_match_scratch_evaluation():
     params = make_params()
     corpus = random_corpus(n_cascades=5, seed=9)
     terms = build_terms(corpus, params, store)
-    lam = terms_event_intensities(terms, params)
+    lam = terms.design @ flat_weights(params)
     expected = [
         intensity(c.publisher, cascade, c.time, params, store)
         for cascade in corpus
@@ -125,16 +124,11 @@ def test_event_intensities_match_scratch_evaluation():
     assert lam == pytest.approx(expected, rel=1e-12)
 
 
-def flatten(grad):
-    return np.concatenate([grad.post_pair, grad.post_content,
-                           grad.comment_pair, grad.comment_content])
-
-
 def test_gradient_matches_central_differences():
     store = direct_store()
     params = make_params(seed=4)
     corpus = random_corpus(n_cascades=4, seed=21)
-    grad = flatten(gradient(corpus, params, store, USERS))
+    grad = gradient(corpus, params, store, USERS)
     blocks = ("post_pair_weights", "post_content_weights",
               "comment_pair_weights", "comment_content_weights")
     h = 1e-6
@@ -165,7 +159,7 @@ def test_zero_weights_are_minus_inf_without_floor():
     corpus = random_corpus(n_cascades=2, seed=2)
     assert corpus_log_likelihood(corpus, params, store, USERS) == -math.inf
     terms = build_terms(corpus, params, store)
-    value, grad = terms_value_and_grad(terms, params)
+    value, grad, _ = log_likelihood_derivatives(terms, flat_weights(params))
     assert value == -math.inf and grad is None
 
 
@@ -183,15 +177,11 @@ def test_floor_clamps_dead_events_and_their_gradient():
     corpus = random_corpus(n_cascades=2, seed=2)
     terms = build_terms(corpus, params, store)
     floor = 1e-12
-    value, grad = terms_value_and_grad(terms, params, floor=floor)
+    value, grad, _ = log_likelihood_derivatives(terms, flat_weights(params), floor=floor)
     # zero weights: the compensator value vanishes and every event sits on
     # the floor, so only the compensator coefficients pull on the gradient
     assert value == pytest.approx(terms.n_events * math.log(floor))
-    expected = -np.concatenate([
-        terms.comp_post_pair, terms.comp_post_content,
-        terms.comp_comment_pair, terms.comp_comment_content,
-    ])
-    assert np.array_equal(flatten(grad), expected)
+    assert np.array_equal(grad, -terms.compensator)
 
 
 def test_floor_is_inert_when_intensities_clear_it():
@@ -199,10 +189,11 @@ def test_floor_is_inert_when_intensities_clear_it():
     params = make_params()
     corpus = random_corpus(n_cascades=3, seed=6)
     terms = build_terms(corpus, params, store)
-    plain_value, plain_grad = terms_value_and_grad(terms, params)
-    floored_value, floored_grad = terms_value_and_grad(terms, params, floor=1e-12)
+    theta = flat_weights(params)
+    plain_value, plain_grad, _ = log_likelihood_derivatives(terms, theta)
+    floored_value, floored_grad, _ = log_likelihood_derivatives(terms, theta, floor=1e-12)
     assert floored_value == plain_value
-    assert np.array_equal(flatten(floored_grad), flatten(plain_grad))
+    assert np.array_equal(floored_grad, plain_grad)
 
 
 # ----------------------------------------------------------------- convexity

@@ -49,11 +49,10 @@ def test_converged_fit_reports_tolerance_and_its_gradient_norm():
     result = fit(corpus, store, USERS, fit_config(penalty=0.1))
     assert result.stop_reason == "tolerance" and result.converged
     grad = gradient(corpus, result.params, store, USERS)
-    z = penalty_weights(0.1)
-    obj_grad = np.concatenate([
-        -grad.post_pair + z[0], -grad.post_content + z[1],
-        -grad.comment_pair + z[2], -grad.comment_content + z[3],
-    ])
+    p = result.params
+    z = np.repeat(penalty_weights(0.1),
+                  [p.pair_dim, p.content_dim, p.pair_dim, p.content_dim])
+    obj_grad = -grad + z
     expected = projected_gradient_norm(flat_weights(result.params), obj_grad)
     assert result.projected_gradient_norm == pytest.approx(expected, rel=1e-9, abs=1e-12)
 

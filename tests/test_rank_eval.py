@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hawkesfeed.baselines import fit_hwk_em, order_candidates
 from hawkesfeed.core import IntensityState, decay_state, intensity
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.rank_eval import (
@@ -21,7 +22,7 @@ from hawkesfeed.rank_eval import (
 from hawkesfeed.fit import FitConfig
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
-from conftest import USERS, direct_store, make_cascade, make_params
+from conftest import USERS, direct_store, hwk_intensity, make_cascade, make_params
 
 
 class IdentityRanker:
@@ -330,6 +331,42 @@ def test_ranker_states_stay_bounded_on_a_long_stream():
     scratch = evaluate_group(ScratchRanker(config.params, config.store), cascades)
     assert streamed.rank_trace == scratch.rank_trace
     assert ranker.peak_states <= len(config.users) * ranker.peak_candidates
+
+
+class ScratchPairwiseRanker:
+    """The HWK baseline's former scratch ranker: `hwk_intensity` for every
+    candidate at every query; holds no state."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def rank(self, user, t, candidates):
+        scores = [hwk_intensity(self.params, user, c, t - c.origin) for c in candidates]
+        return order_candidates(candidates, scores, t)
+
+    def absorb(self, cascade, event, t):
+        pass
+
+
+@pytest.mark.parametrize("policy", CANDIDATE_POLICIES)
+@pytest.mark.parametrize("n_cascades, horizon, spacing", [(40, 3.0, 0.5),
+                                                          (60, 10.0, 2.0)])
+def test_pairwise_ranker_matches_the_scratch_hwk_trace(policy, n_cascades,
+                                                       horizon, spacing):
+    # short three-minute cascades, and many overlapping ten-minute ones;
+    # simulated events carry content, which the content-free model ignores
+    config = random_sim_config(n_users=6, seed=5, n_cascades=n_cascades,
+                               horizon=horizon, origin_spacing=spacing)
+    corpus = simulate_corpus(config)
+    split = int(0.7 * len(corpus))
+    params = fit_hwk_em(corpus[:split],
+                        post_decay_rate=config.params.post_decay_rate,
+                        comment_decay_rate=config.params.comment_decay_rate).params
+    test = [c for c in corpus[split:] if c.comments]
+    streamed = evaluate_group(PairwiseRanker(params), test, policy=policy)
+    scratch = evaluate_group(ScratchPairwiseRanker(params), test, policy=policy)
+    assert len(set(streamed.rank_trace)) > 1
+    assert streamed.rank_trace == scratch.rank_trace
 
 
 # -------------------------------------------------------------- ranker builds
