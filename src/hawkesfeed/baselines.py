@@ -11,6 +11,7 @@ served on the feature model's streaming state.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -99,77 +100,109 @@ class CoxParams:
 
 def cox_covariate(cascade, t, store, feature_indices):
     """Content of the cascade's most recent event strictly before t."""
-    local_t = t - cascade.origin
-    latest = None
-    for idx, e in enumerate(cascade.events):
-        if e.time >= local_t:
-            break
-        latest = (idx, e)
-    if latest is None:
+    events = cascade.events
+    # event times increase, so the events before t are a prefix
+    k = bisect.bisect_left(events, t - cascade.origin, key=lambda e: e.time)
+    if not k:
         return np.zeros(len(feature_indices))
-    idx, e = latest
-    return store.event_content(cascade.cascade_id, idx, e)[feature_indices]
+    return store.event_content(cascade.cascade_id, k - 1, events[k - 1])[feature_indices]
+
+
+@dataclass(eq=False)
+class _CoxDesign:
+    """Every observed comment's risk set, stacked into one row array.
+
+    Comment i owns rows starts[i] up to starts[i + 1] (the last one up to
+    the end); `segment` names each row's comment and `targets` holds the
+    row of each comment's own cascade.  That cascade is always in its risk
+    set, so no segment is empty, which `np.ufunc.reduceat` needs: an empty
+    segment would silently read its start row instead.
+    """
+
+    rows: np.ndarray  # (R, k) covariate rows
+    starts: np.ndarray  # (C,) first row of each comment's risk set
+    segment: np.ndarray  # (R,) comment of each row
+    targets: np.ndarray  # (C,) row of each comment's own cascade
+
+    @property
+    def sizes(self):
+        """Risk-set size of each comment."""
+        return np.diff(self.starts, append=self.rows.shape[0])
 
 
 def _cox_design(cascades, store, feature_indices, activity_horizon):
-    """Per observed comment: covariate rows of its risk set and the target row.
+    """The stacked risk sets of every observed comment, in time order.
 
     The risk set holds cascades initiated before the comment and active
     (last event within the horizon); the comment's own cascade is always
-    included so every term is well defined.
+    included so every term is well defined.  Returns a `_CoxDesign`: the
+    risk sets' covariate rows stacked comment by comment, in corpus order
+    within a risk set, with each risk set's start and target row.
     """
-    steps = []
-    for c in cascades:
-        for e in c.comments:
-            steps.append((c.origin + e.time, c.cascade_id, c))
-    steps.sort(key=lambda s: (s[0], s[1]))
-    design = []
-    for t, target_id, target in steps:
-        rows = []
-        target_row = None
+    steps = sorted(
+        (c.origin + e.time, c.cascade_id) for c in cascades for e in c.comments
+    )
+    rows, starts, segment, targets = [], [], [], []
+    for i, (t, target_id) in enumerate(steps):
+        starts.append(len(rows))
         for c in cascades:
             if c.cascade_id == target_id:
-                in_risk = True
+                targets.append(len(rows))
             else:
                 last = c.last_event_global(before=t)
-                in_risk = (
-                    c.origin < t and last is not None and t - last <= activity_horizon
-                )
-            if in_risk:
-                if c.cascade_id == target_id:
-                    target_row = len(rows)
-                rows.append(cox_covariate(c, t, store, feature_indices))
-        design.append((np.vstack(rows), target_row))
-    return design
+                if not (c.origin < t and last is not None
+                        and t - last <= activity_horizon):
+                    continue
+            rows.append(cox_covariate(c, t, store, feature_indices))
+            segment.append(i)
+    return _CoxDesign(
+        rows=np.array(rows, dtype=float).reshape(len(rows), len(feature_indices)),
+        starts=np.array(starts, dtype=int),
+        segment=np.array(segment, dtype=int),
+        targets=np.array(targets, dtype=int),
+    )
+
+
+def _segment_softmax(scores, design):
+    """Per risk set: its max score m, exp(scores - m) by row, and their sum."""
+    m = np.maximum.reduceat(scores, design.starts)
+    e = np.exp(scores - m[design.segment])
+    return m, e, np.add.reduceat(e, design.starts)
 
 
 def cox_partial_log_likelihood(weights, design):
+    """Sum over comments of score(target) - log sum_risk-set exp(score)."""
+    scores = design.rows @ weights
+    m, _, total = _segment_softmax(scores, design)
     value = 0.0
-    for rows, target in design:
-        scores = rows @ weights
-        m = scores.max()
-        value += scores[target] - (m + np.log(np.exp(scores - m).sum()))
-    return float(value)
+    # comment by comment, in time order
+    for term in (scores[design.targets] - (m + np.log(total))).tolist():
+        value += term
+    return value
 
 
 def _cox_gradient(weights, design):
-    grad = np.zeros_like(weights)
-    for rows, target in design:
-        scores = rows @ weights
-        scores -= scores.max()
-        p = np.exp(scores)
-        p /= p.sum()
-        grad += rows[target] - p @ rows
-    return grad
+    """Sum over comments of x(target) - E_softmax[x] over its risk set."""
+    _, e, total = _segment_softmax(design.rows @ weights, design)
+    p = e / total[design.segment]
+    expected = np.add.reduceat(p[:, None] * design.rows, design.starts)
+    # accumulated comment by comment, in time order
+    return np.cumsum(design.rows[design.targets] - expected, axis=0)[-1]
 
 
 def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
-            tolerance=1e-10, weight_cap=WEIGHT_CAP,
-            activity_horizon=ACTIVITY_HORIZON):
+            weight_cap=WEIGHT_CAP, activity_horizon=ACTIVITY_HORIZON):
     """Maximize the partial likelihood by gradient ascent with backtracking.
 
     The partial likelihood is concave; separation would push weights to
     infinity, so coordinates are capped at +-weight_cap with a warning.
+    Each iteration takes the gradient at w and tries steps along it,
+    halving from the last accepted step (doubled, at most 1e6), and
+    accepts the first one that raises the value by at least 1e-12.  The
+    fit stops when no step of at least 1e-18 does, or after
+    `max_iterations` iterations, with a warning.  Every evaluation runs on
+    `_cox_design`'s stacked risk sets: one matrix product and a few
+    segment reductions, whatever the number of comments.
     """
     if feature_indices is None:
         feature_indices = np.arange(store.content_dim)
@@ -177,9 +210,9 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
     if feature_indices.size == 0:
         raise EstimationError("no content features selected")
     design = _cox_design(cascades, store, feature_indices, activity_horizon)
-    if not design:
+    if not design.starts.size:
         raise EstimationError("training corpus has no comments, nothing to fit")
-    if all(rows.shape[0] == 1 for rows, _ in design):
+    if np.all(design.sizes == 1):
         raise EstimationError(
             "every risk set is a single cascade; the weights are unidentifiable"
         )
@@ -200,6 +233,12 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
             break
         w, f = cand, fc
         step = min(step * 2.0, 1e6)
+    else:
+        warnings.warn(
+            f"proportional-rates fit stopped at max_iterations={max_iterations} "
+            "while steps still improved the partial likelihood",
+            stacklevel=2,
+        )
     if np.any(np.abs(w) >= weight_cap - 1e-9):
         warnings.warn(
             "proportional-rates weights hit the cap; the data separate the "

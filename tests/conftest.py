@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from hawkesfeed.baselines import ACTIVITY_HORIZON, WEIGHT_CAP, CoxParams
 from hawkesfeed.core import Cascade, Event, ModelParams
+from hawkesfeed.errors import EstimationError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
@@ -96,6 +100,126 @@ def hwk_intensity(params, user, cascade, local_t):
             -params.comment_decay_rate * (local_t - e.time)
         )
     return float(lam)
+
+
+# The proportional-rates baseline as it was before its risk sets were
+# stacked: a linear scan for the covariate, a list of (rows, target) pairs
+# per comment and a Python loop over them per evaluation.  Kept verbatim
+# as the oracle for `cox_covariate`, `_cox_design`, the partial likelihood,
+# its gradient and `fit_cox`.
+
+
+def cox_covariate_scan(cascade, t, store, feature_indices):
+    """Content of the cascade's most recent event strictly before t."""
+    local_t = t - cascade.origin
+    latest = None
+    for idx, e in enumerate(cascade.events):
+        if e.time >= local_t:
+            break
+        latest = (idx, e)
+    if latest is None:
+        return np.zeros(len(feature_indices))
+    idx, e = latest
+    return store.event_content(cascade.cascade_id, idx, e)[feature_indices]
+
+
+def cox_design_loop(cascades, store, feature_indices, activity_horizon):
+    """Per observed comment: covariate rows of its risk set and the target row.
+
+    The risk set holds cascades initiated before the comment and active
+    (last event within the horizon); the comment's own cascade is always
+    included so every term is well defined.
+    """
+    steps = []
+    for c in cascades:
+        for e in c.comments:
+            steps.append((c.origin + e.time, c.cascade_id, c))
+    steps.sort(key=lambda s: (s[0], s[1]))
+    design = []
+    for t, target_id, target in steps:
+        rows = []
+        target_row = None
+        for c in cascades:
+            if c.cascade_id == target_id:
+                in_risk = True
+            else:
+                last = c.last_event_global(before=t)
+                in_risk = (
+                    c.origin < t and last is not None and t - last <= activity_horizon
+                )
+            if in_risk:
+                if c.cascade_id == target_id:
+                    target_row = len(rows)
+                rows.append(cox_covariate_scan(c, t, store, feature_indices))
+        design.append((np.vstack(rows), target_row))
+    return design
+
+
+def cox_partial_log_likelihood_loop(weights, design):
+    value = 0.0
+    for rows, target in design:
+        scores = rows @ weights
+        m = scores.max()
+        value += scores[target] - (m + np.log(np.exp(scores - m).sum()))
+    return float(value)
+
+
+def cox_gradient_loop(weights, design):
+    grad = np.zeros_like(weights)
+    for rows, target in design:
+        scores = rows @ weights
+        scores -= scores.max()
+        p = np.exp(scores)
+        p /= p.sum()
+        grad += rows[target] - p @ rows
+    return grad
+
+
+def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
+                 tolerance=1e-10, weight_cap=WEIGHT_CAP,
+                 activity_horizon=ACTIVITY_HORIZON):
+    """Maximize the partial likelihood by gradient ascent with backtracking.
+
+    The partial likelihood is concave; separation would push weights to
+    infinity, so coordinates are capped at +-weight_cap with a warning.
+    """
+    if feature_indices is None:
+        feature_indices = np.arange(store.content_dim)
+    feature_indices = np.asarray(feature_indices, dtype=int)
+    if feature_indices.size == 0:
+        raise EstimationError("no content features selected")
+    design = cox_design_loop(cascades, store, feature_indices, activity_horizon)
+    if not design:
+        raise EstimationError("training corpus has no comments, nothing to fit")
+    if all(rows.shape[0] == 1 for rows, _ in design):
+        raise EstimationError(
+            "every risk set is a single cascade; the weights are unidentifiable"
+        )
+    w = np.zeros(feature_indices.size)
+    f = cox_partial_log_likelihood_loop(w, design)
+    step = 1.0
+    for _ in range(max_iterations):
+        g = cox_gradient_loop(w, design)
+        improved = False
+        while step > 1e-18:
+            cand = np.clip(w + step * g, -weight_cap, weight_cap)
+            fc = cox_partial_log_likelihood_loop(cand, design)
+            if fc >= f + 1e-12:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        w, f = cand, fc
+        step = min(step * 2.0, 1e6)
+    if np.any(np.abs(w) >= weight_cap - 1e-9):
+        warnings.warn(
+            "proportional-rates weights hit the cap; the data separate the "
+            "commented cascades perfectly",
+            stacklevel=2,
+        )
+    names = [store.content_names[i] for i in feature_indices]
+    return CoxParams(weights=w, feature_names=names, feature_indices=feature_indices)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +154,10 @@ def test_cox_partial_likelihood_at_zero_counts_risk_sets():
     store = content_store(1)
     corpus = cox_corpus()
     design = _cox_design(corpus, store, np.array([0]), 720.0)
-    expected = -sum(math.log(rows.shape[0]) for rows, _ in design)
+    expected = -sum(math.log(size) for size in design.sizes.tolist())
     assert cox_partial_log_likelihood(np.zeros(1), design) == pytest.approx(expected)
     # all three cascades start at origin 0 and stay active throughout
-    assert all(rows.shape[0] == 3 for rows, _ in design)
+    assert design.sizes.tolist() == [3] * 6
 
 
 def test_fit_cox_matches_grid_search():
@@ -170,6 +171,18 @@ def test_fit_cox_matches_grid_search():
     params = fit_cox(corpus, store)
     assert abs(float(params.weights[0]) - best) <= 0.05
     assert params.feature_names == ["c0"]
+
+
+def test_fit_cox_warns_when_it_stops_at_max_iterations():
+    store = content_store(1)
+    corpus = cox_corpus()
+    with pytest.warns(UserWarning, match="max_iterations=1 "):
+        capped = fit_cox(corpus, store, max_iterations=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = fit_cox(corpus, store)
+    # one accepted step from zero, short of the optimum
+    assert 0.0 != capped.weights[0] != params.weights[0]
 
 
 def test_fit_cox_caps_separable_data_with_a_warning():
