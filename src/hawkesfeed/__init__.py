@@ -5,13 +5,12 @@ from .core import (
     Cascade,
     Event,
     IntensityState,
+    JumpTable,
     ModelParams,
     absorb_event,
-    comment_influence,
     corpus_participants,
     decay_state,
     intensity,
-    post_influence,
     separate_ties,
     state_at,
 )
@@ -68,6 +67,7 @@ __all__ = [
     "HawkesFeedError",
     "IntensityRanker",
     "IntensityState",
+    "JumpTable",
     "Lexicon",
     "ModelParams",
     "RankReport",
@@ -78,7 +78,6 @@ __all__ = [
     "branching_ratio",
     "build_feature_store",
     "candidate_cascades",
-    "comment_influence",
     "corpus_log_likelihood",
     "corpus_participants",
     "cross_validate",
@@ -95,7 +94,6 @@ __all__ = [
     "mean_activity",
     "normalize_store",
     "objective",
-    "post_influence",
     "prioritize",
     "random_sim_config",
     "separate_ties",

@@ -40,8 +40,9 @@ def order_candidates(cascades, scores, t):
 
 
 def rank_rchr(cascades, t):
-    """Most recently active first, among events strictly before t."""
-    return order_candidates(cascades, [_recency_key(c, t) for c in cascades], t)
+    """Most recently active first, among events strictly before t, then by
+    id; the recency score is its own tie-break, so it is computed once."""
+    return sorted(cascades, key=lambda c: (-_recency_key(c, t), c.cascade_id))
 
 
 # ---------------------------------------------------------------- nearest profile

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 
 from . import io
-from .core import corpus_participants, state_at
+from .core import JumpTable, corpus_participants
 from .errors import ConfigError, DataFormatError, EstimationError
 from .features import (
     FEATURE_SETS,
@@ -195,8 +195,9 @@ def cmd_rank(args):
     params = io.read_model(args.model)
     cascades = annotate_corpus(cascades, store)
     candidates = candidate_cascades(cascades, args.t, args.policy)
+    jumps = JumpTable(params, store)
     states = {
-        c.cascade_id: state_at(args.user, c, args.t - c.origin, params, store)
+        c.cascade_id: jumps.state_at(args.user, c, args.t - c.origin)
         for c in candidates
     }
     ordered = prioritize(args.user, args.t, candidates, states, params, store)

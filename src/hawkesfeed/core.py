@@ -8,6 +8,12 @@ every earlier comment excites that user).  Both terms are nonnegative
 weighted sums of features, so the whole intensity is linear in the
 weight vectors.
 
+A `JumpTable` is the one place that turns weights and features into
+jumps: a jump is its (user, publisher) pair part, computed once and read
+from the table, plus the event's content score, the same IEEE sum as the
+whole expression.  Content scores are taken event by event, not batched
+as `C @ w`, which may sum in another order and move a jump by an ulp.
+
 One streaming path carries the intensity: an `IntensityState` holds the
 two terms, `state_at` builds it from scratch at any time (the reference,
 and what `intensity` evaluates), `decay_state` moves it forward and
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,9 +115,12 @@ class Cascade:
         """Wall-clock minute of the latest event, optionally strictly before `before`.
 
         Returns None when no event qualifies.  Event times increase, so the
-        comments that qualify are a prefix, found by bisection.
+        comments that qualify are a prefix: all of them when the newest
+        does, else found by bisection.
         """
-        if before is None:
+        # a replay only ever asks after the newest comment: skip the bisection
+        if before is None or (self.comments
+                              and self.origin + self.comments[-1].time < before):
             k = len(self.comments)
         else:
             k = bisect.bisect_left(self.comments, before,
@@ -225,37 +235,6 @@ def event_content(event, dim):
     return cf
 
 
-def post_influence(user, post, params, store):
-    """Initial rate the post contributes to `user`, before any decay."""
-    pair = store.pair_vector(user, post.publisher)
-    if pair.size != params.pair_dim:
-        raise ConfigError(
-            f"store pair vectors have {pair.size} features, model expects {params.pair_dim}"
-        )
-    content = event_content(post, params.content_dim)
-    return float(params.post_pair_weights @ pair + params.post_content_weights @ content)
-
-
-def comment_influence(user, comment, params, store):
-    """Jump the comment adds to `user`'s rate at the moment it arrives."""
-    pair = store.pair_vector(user, comment.publisher)
-    if pair.size != params.pair_dim:
-        raise ConfigError(
-            f"store pair vectors have {pair.size} features, model expects {params.pair_dim}"
-        )
-    content = event_content(comment, params.content_dim)
-    return float(params.comment_pair_weights @ pair + params.comment_content_weights @ content)
-
-
-def intensity(user, cascade, t, params, store):
-    """Rate of `user` commenting on `cascade` at relative minute t.
-
-    Only events strictly before t contribute, so the value at an event's
-    own timestamp excludes that event's jump.
-    """
-    return state_at(user, cascade, t, params, store).intensity
-
-
 @dataclass
 class IntensityState:
     """Decomposed intensity for one (user, cascade) pair.
@@ -278,25 +257,95 @@ class IntensityState:
         return self.post_term + self.comment_term
 
 
-def state_at(user, cascade, t, params, store):
-    """Scratch-built state at relative time t, from events strictly before t.
+class JumpTable:
+    """What each event adds to a user's rate under one `(params, store)`.
 
-    This is the one scratch evaluation of the feature model's intensity;
-    at t = 0 it is the state at the moment the post appears.
+    An event by publisher p lifts user u's post or comment term by
+    `w_pair · pair_vector(u, p) + w_content · content`.  Both terms' pair
+    parts come from one `pair_vector` call the first time (u, p) is read
+    and are kept as the same floats; the content part is scored per event.
     """
-    if t < 0:
-        raise ValueError(f"state requested at negative time {t}")
-    a = post_influence(user, cascade.post, params, store) * math.exp(
-        -params.post_decay_rate * t
-    )
-    b = 0.0
-    for c in cascade.comments:
-        if c.time >= t:
-            break
-        b += comment_influence(user, c, params, store) * math.exp(
-            -params.comment_decay_rate * (t - c.time)
+
+    def __init__(self, params, store):
+        self.params = params
+        self.store = store
+        self._rows = defaultdict(dict)  # user -> {publisher: (post part, comment part)}
+
+    def pair(self, user, publisher):
+        """The (post, comment) pair parts of `publisher`'s jumps for `user`."""
+        row = self._rows[user]
+        parts = row.get(publisher)
+        if parts is None:
+            pair, p = self.store.pair_vector(user, publisher), self.params
+            if pair.size != p.pair_dim:
+                raise ConfigError(f"store pair vectors have {pair.size} features, "
+                                  f"model expects {p.pair_dim}")
+            parts = row[publisher] = (float(p.post_pair_weights @ pair),
+                                      float(p.comment_pair_weights @ pair))
+        return parts
+
+    def post_score(self, post):
+        """Content part of the post's jump."""
+        w = self.params.post_content_weights
+        return float(w @ event_content(post, w.size)) if w.size else 0.0
+
+    def comment_score(self, comment):
+        """Content part of the comment's jump, the same for every user."""
+        w = self.params.comment_content_weights
+        return float(w @ event_content(comment, w.size)) if w.size else 0.0
+
+    @property
+    def max_comment_score(self):
+        """Largest content part a comment can have (content lies in [0, 1])."""
+        w = self.params.comment_content_weights
+        return float(w @ np.ones(w.size))
+
+    def state_at(self, user, cascade, t):
+        """Scratch-built state at relative time t, from events strictly before t.
+
+        This is the one scratch evaluation of the feature model's
+        intensity; at t = 0 it is the state at the moment the post appears.
+        """
+        if t < 0:
+            raise ValueError(f"state requested at negative time {t}")
+        post, rate = cascade.post, self.params.comment_decay_rate
+        a = (self.pair(user, post.publisher)[0] + self.post_score(post)) * math.exp(
+            -self.params.post_decay_rate * t
         )
-    return IntensityState(user, cascade.cascade_id, a, b, t)
+        row, b = self._rows[user], 0.0
+        for c in cascade.comments:
+            if c.time >= t:
+                break
+            part = (row.get(c.publisher) or self.pair(user, c.publisher))[1]
+            b += (part + self.comment_score(c)) * math.exp(-rate * (t - c.time))
+        return IntensityState(user, cascade.cascade_id, a, b, t)
+
+    def absorb(self, state, comment, t, score=None):
+        """State just after `comment` lands at time t on the state's own clock.
+
+        The state is first decayed to t (which refuses to rewind), then the
+        comment's jump for the state's user is added.  A caller absorbing
+        one comment into many states passes its `comment_score` once.
+        """
+        state = decay_state(state, t, self.params)
+        if score is None:
+            score = self.comment_score(comment)
+        state.comment_term += self.pair(state.user, comment.publisher)[1] + score
+        return state
+
+
+def state_at(user, cascade, t, params, store):
+    """`JumpTable.state_at` on a table of its own."""
+    return JumpTable(params, store).state_at(user, cascade, t)
+
+
+def intensity(user, cascade, t, params, store):
+    """Rate of `user` commenting on `cascade` at relative minute t.
+
+    Only events strictly before t contribute, so the value at an event's
+    own timestamp excludes that event's jump.
+    """
+    return state_at(user, cascade, t, params, store).intensity
 
 
 def decay_state(state, t2, params):
@@ -316,11 +365,5 @@ def decay_state(state, t2, params):
 
 
 def absorb_event(state, comment, t, params, store):
-    """State just after `comment` lands at time t on the state's own clock.
-
-    The state is first decayed to t (which refuses to rewind), then the
-    comment's jump for the state's user is added.
-    """
-    state = decay_state(state, t, params)
-    state.comment_term += comment_influence(state.user, comment, params, store)
-    return state
+    """`JumpTable.absorb` on a table of its own."""
+    return JumpTable(params, store).absorb(state, comment, t)

@@ -136,60 +136,6 @@ def content_features(text, lexicon):
     return np.array(counts, dtype=float)
 
 
-def character_features(user, cascades):
-    """Raw per-user counts, see CHARACTER_FEATURES for coordinate order."""
-    posts_made = 0
-    comments_received = 0
-    comments_made = 0
-    posts_commented = set()
-    authors_commented = set()
-    for c in cascades:
-        if c.post.publisher == user:
-            posts_made += 1
-            comments_received += len(c.comments)
-        for e in c.comments:
-            if e.publisher == user:
-                comments_made += 1
-                posts_commented.add(c.cascade_id)
-                authors_commented.add(c.post.publisher)
-    return np.array(
-        [posts_made, comments_received, comments_made,
-         len(posts_commented), len(authors_commented)],
-        dtype=float,
-    )
-
-
-def relationship_features(a, b, cascades):
-    """Raw directed counts of `a` acting on `b`, see RELATIONSHIP_FEATURES."""
-    on_posts = 0
-    after_comment = 0
-    direct_post = 0
-    direct_comment = 0
-    co_posts = set()
-    for c in cascades:
-        b_posted = c.post.publisher == b
-        if b_posted and c.comments and c.comments[0].publisher == a:
-            direct_post += 1
-        b_commented = False
-        prev_publisher = None
-        for e in c.comments:
-            if e.publisher == a:
-                if b_posted:
-                    on_posts += 1
-                if b_commented:
-                    after_comment += 1
-                    co_posts.add(c.cascade_id)
-                if prev_publisher == b:
-                    direct_comment += 1
-            if e.publisher == b:
-                b_commented = True
-            prev_publisher = e.publisher
-    return np.array(
-        [on_posts, after_comment, direct_post, direct_comment, len(co_posts)],
-        dtype=float,
-    )
-
-
 def content_key(cascade_id, index):
     """Key of an event in the store's content map; index 0 is the post."""
     return f"{cascade_id}:{index}"

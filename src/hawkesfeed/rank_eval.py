@@ -28,14 +28,7 @@ from .baselines import (
     rank_rchr,
     update_profile,
 )
-from .core import (
-    Cascade,
-    absorb_event,
-    corpus_participants,
-    decay_state,
-    intensity,
-    state_at,
-)
+from .core import Cascade, JumpTable, corpus_participants, decay_state
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
 from .fit import FitConfig, fit
@@ -52,16 +45,17 @@ def prioritize(user, t, cascades, states, params, store):
     """Candidates in descending intensity for `user` at global minute t.
 
     `states` maps cascade id to an IntensityState already decayed to t;
-    cascades without one are scored from scratch.  Ties break by most
-    recent event, then cascade id.
+    cascades without one are scored from scratch on one `JumpTable`
+    shared by the whole query.  Ties break by most recent event, then
+    cascade id.
     """
-    scores = []
+    jumps, scores = None, []
     for c in cascades:
         s = states.get(c.cascade_id) if states else None
-        lam = s.intensity if s is not None else intensity(
-            user, c, t - c.origin, params, store
-        )
-        scores.append(lam)
+        if s is None:
+            jumps = jumps or JumpTable(params, store)
+            s = jumps.state_at(user, c, t - c.origin)
+        scores.append(s.intensity)
     return order_candidates(cascades, scores, t)
 
 
@@ -116,12 +110,14 @@ class IntensityRanker:
 
     `states` is indexed by cascade, `{cascade_id: {user: state}}`, so an
     absorb decays and bumps only the states of the cascade that received
-    the comment, through `absorb_event`.  Each rank first keeps only the
-    cascades among its candidates, so the ranker holds at most users ×
+    the comment, scoring its content once for all of them; every jump is
+    read from the ranker's one `JumpTable`.  Each rank first keeps only
+    the cascades among its candidates, so the ranker holds at most users ×
     candidates states however long the stream runs.  In `evaluate_group`
     a cascade that leaves the candidate set never returns (its window has
     closed, or under the "active" policy its next comment would already
-    have raised); should a caller bring one back, `state_at` rebuilds it.
+    have raised); should a caller bring one back, `JumpTable.state_at`
+    rebuilds it.
 
     States run on the shared global clock: the stream hands rank and
     absorb the same timestamp, so states only ever move forward.  Mapping
@@ -132,6 +128,7 @@ class IntensityRanker:
     def __init__(self, params, store):
         self.params = params
         self.store = store
+        self.jumps = JumpTable(params, store)
         self.states = {}
 
     def rank(self, user, t, candidates):
@@ -143,7 +140,7 @@ class IntensityRanker:
             users = self.states[c.cascade_id]
             s = users.get(user)
             if s is None:
-                s = state_at(user, c, t - c.origin, self.params, self.store)
+                s = self.jumps.state_at(user, c, t - c.origin)
                 s.last_update_time = t
             else:
                 s = decay_state(s, t, self.params)
@@ -151,9 +148,11 @@ class IntensityRanker:
         return prioritize(user, t, candidates, current, self.params, self.store)
 
     def absorb(self, cascade, event, t):
-        users = self.states.get(cascade.cascade_id, {})
-        for user, s in users.items():
-            users[user] = absorb_event(s, event, t, self.params, self.store)
+        users = self.states.get(cascade.cascade_id)
+        if users:
+            score = self.jumps.comment_score(event)
+            for user, s in users.items():
+                users[user] = self.jumps.absorb(s, event, t, score)
 
 
 class RecencyRanker:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Cascade, Event, ModelParams, post_influence
+from .core import Cascade, Event, JumpTable, ModelParams
 from .errors import ConfigError
 from .features import FeatureStore
 
@@ -54,19 +54,17 @@ class SimConfig:
 
 
 def _jumps_and_ratio(config):
-    """The U x U matrix whose column p is what one comment by user p adds
-    to every user's rate through the pair weights, and the worst-case
-    branching ratio read from its columns."""
-    params, users = config.params, config.users
-    pair_jumps = np.array([
-        [float(params.comment_pair_weights @ config.store.pair_vector(u, p)) for p in users]
-        for u in users
-    ])
-    content_part = float(params.comment_content_weights @ np.ones(params.content_dim))
+    """The config's `JumpTable`, the U x U matrix whose column p is what one
+    comment by user p adds to every user's rate through the pair weights,
+    and the worst-case branching ratio read from its columns."""
+    users = config.users
+    jumps = JumpTable(config.params, config.store)
+    pair_jumps = np.array([[jumps.pair(u, p)[1] for p in users] for u in users])
+    content_part = jumps.max_comment_score
     worst = 0.0
     for column in pair_jumps.T.tolist():
         worst = max(worst, sum(j + content_part for j in column))
-    return pair_jumps, worst / params.comment_decay_rate
+    return jumps, pair_jumps, worst / config.params.comment_decay_rate
 
 
 def branching_ratio(config):
@@ -75,43 +73,45 @@ def branching_ratio(config):
     Maximizes over possible comment publishers and charges the full
     content weight (content features live in [0, 1]).
     """
-    return _jumps_and_ratio(config)[1]
+    return _jumps_and_ratio(config)[2]
 
 
-def _pair_jumps(config):
-    """The comment pair-jump matrix of `_jumps_and_ratio`; refuses a
-    supercritical configuration."""
-    pair_jumps, ratio = _jumps_and_ratio(config)
+def _subcritical_jumps(config):
+    """The table and matrix of `_jumps_and_ratio`; refuses a supercritical
+    configuration."""
+    jumps, pair_jumps, ratio = _jumps_and_ratio(config)
     if ratio >= 1.0:
         raise ConfigError(
             f"supercritical configuration: worst-case branching ratio {ratio:.3f} >= 1"
         )
-    return pair_jumps
+    return jumps, pair_jumps
 
 
 def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):
     """One cascade under the configured intensity, by thinning."""
-    pair_jumps = _pair_jumps(config)
+    jumps, pair_jumps = _subcritical_jumps(config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _thin(config, post, rng, origin, cascade_id, pair_jumps)
+    return _thin(config, post, rng, origin, cascade_id, jumps, pair_jumps)
 
 
-def _thin(config, post, rng, origin, cascade_id, pair_jumps):
-    """simulate_cascade's thinning loop, given the config's pair jumps."""
+def _thin(config, post, rng, origin, cascade_id, jumps, pair_jumps):
+    """simulate_cascade's thinning loop, given the config's jumps."""
     params = config.params
     users = config.users
     kd = params.content_dim
     # per-user decomposed rates, updated in place as the clock advances
+    post_score = jumps.post_score(post)
     post_terms = np.array(
-        [post_influence(u, post, params, config.store) for u in users]
+        [jumps.pair(u, post.publisher)[0] + post_score for u in users]
     )
     comment_terms = np.zeros(len(users))
     t = 0.0
     comments = []
     truncated = False
+    # np.add.reduce is what .sum() runs, without the per-call wrappers
     while True:
-        bound = post_terms.sum() + comment_terms.sum()
+        bound = np.add.reduce(post_terms) + np.add.reduce(comment_terms)
         if bound <= 0.0:
             break
         candidate = t + rng.exponential(1.0 / bound)
@@ -122,19 +122,17 @@ def _thin(config, post, rng, origin, cascade_id, pair_jumps):
             -params.comment_decay_rate * (candidate - t)
         )
         rates = decayed_post + decayed_comment
-        total = rates.sum()
+        total = np.add.reduce(rates)
         draw = rng.uniform(0.0, bound)
         post_terms, comment_terms, t = decayed_post, decayed_comment, candidate
         if draw >= total:
             continue  # rejected; the decayed total is the next bound
-        idx = int(np.searchsorted(np.cumsum(rates), draw, side="right"))
+        idx = int(rates.cumsum().searchsorted(draw, side="right"))
         content = rng.uniform(size=kd) if kd else np.zeros(0)
         comments.append(Event(candidate, users[idx], content))
         comment_terms = comment_terms + pair_jumps[:, idx]
         if kd:
-            comment_terms = comment_terms + float(
-                params.comment_content_weights @ content
-            )
+            comment_terms = comment_terms + jumps.comment_score(comments[-1])
         if len(comments) >= config.max_events:
             truncated = True
             break
@@ -159,7 +157,7 @@ def simulate_corpus(config, n_cascades=None):
     seeds = np.random.SeedSequence(config.seed).spawn(n + 1)
     post_rng = np.random.default_rng(seeds[0])
     kd = config.params.content_dim
-    pair_jumps = _pair_jumps(config)
+    jumps, pair_jumps = _subcritical_jumps(config)
     cascades = []
     for i in range(n):
         publisher = config.users[i % len(config.users)]
@@ -172,6 +170,7 @@ def simulate_corpus(config, n_cascades=None):
                 np.random.default_rng(seeds[i + 1]),
                 i * config.origin_spacing,
                 f"sim-{i:05d}",
+                jumps,
                 pair_jumps,
             )
         )

@@ -1,11 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from hawkesfeed.baselines import ACTIVITY_HORIZON, WEIGHT_CAP, CoxParams
-from hawkesfeed.core import Cascade, Event, ModelParams
-from hawkesfeed.errors import EstimationError
+from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
+from hawkesfeed.errors import ConfigError, EstimationError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
@@ -100,6 +101,112 @@ def hwk_intensity(params, user, cascade, local_t):
             -params.comment_decay_rate * (local_t - e.time)
         )
     return float(lam)
+
+
+# The per-definition interaction counts that `extract_features` replaced
+# with one accumulating pass.  Kept verbatim as the oracle for that pass.
+
+
+def character_features(user, cascades):
+    """Raw per-user counts, see CHARACTER_FEATURES for coordinate order."""
+    posts_made = 0
+    comments_received = 0
+    comments_made = 0
+    posts_commented = set()
+    authors_commented = set()
+    for c in cascades:
+        if c.post.publisher == user:
+            posts_made += 1
+            comments_received += len(c.comments)
+        for e in c.comments:
+            if e.publisher == user:
+                comments_made += 1
+                posts_commented.add(c.cascade_id)
+                authors_commented.add(c.post.publisher)
+    return np.array(
+        [posts_made, comments_received, comments_made,
+         len(posts_commented), len(authors_commented)],
+        dtype=float,
+    )
+
+
+def relationship_features(a, b, cascades):
+    """Raw directed counts of `a` acting on `b`, see RELATIONSHIP_FEATURES."""
+    on_posts = 0
+    after_comment = 0
+    direct_post = 0
+    direct_comment = 0
+    co_posts = set()
+    for c in cascades:
+        b_posted = c.post.publisher == b
+        if b_posted and c.comments and c.comments[0].publisher == a:
+            direct_post += 1
+        b_commented = False
+        prev_publisher = None
+        for e in c.comments:
+            if e.publisher == a:
+                if b_posted:
+                    on_posts += 1
+                if b_commented:
+                    after_comment += 1
+                    co_posts.add(c.cascade_id)
+                if prev_publisher == b:
+                    direct_comment += 1
+            if e.publisher == b:
+                b_commented = True
+            prev_publisher = e.publisher
+    return np.array(
+        [on_posts, after_comment, direct_post, direct_comment, len(co_posts)],
+        dtype=float,
+    )
+
+
+# Every jump recomputed from the weights and features on every call, as
+# the package did before `JumpTable`.  Kept verbatim (the scratch state
+# renamed) as the oracle the table's intensities must equal exactly.
+
+
+def post_influence(user, post, params, store):
+    """Initial rate the post contributes to `user`, before any decay."""
+    pair = store.pair_vector(user, post.publisher)
+    if pair.size != params.pair_dim:
+        raise ConfigError(
+            f"store pair vectors have {pair.size} features, model expects {params.pair_dim}"
+        )
+    content = event_content(post, params.content_dim)
+    return float(params.post_pair_weights @ pair + params.post_content_weights @ content)
+
+
+def comment_influence(user, comment, params, store):
+    """Jump the comment adds to `user`'s rate at the moment it arrives."""
+    pair = store.pair_vector(user, comment.publisher)
+    if pair.size != params.pair_dim:
+        raise ConfigError(
+            f"store pair vectors have {pair.size} features, model expects {params.pair_dim}"
+        )
+    content = event_content(comment, params.content_dim)
+    return float(params.comment_pair_weights @ pair + params.comment_content_weights @ content)
+
+
+def scratch_state_at(user, cascade, t, params, store):
+    """Scratch-built state at relative time t, from events strictly before t.
+
+    This is the one scratch evaluation of the feature model's intensity;
+    at t = 0 it is the state at the moment the post appears.
+    """
+    if t < 0:
+        raise ValueError(f"state requested at negative time {t}")
+    a = post_influence(user, cascade.post, params, store) * math.exp(
+        -params.post_decay_rate * t
+    )
+    b = 0.0
+    for c in cascade.comments:
+        if c.time >= t:
+            break
+        b += comment_influence(user, c, params, store) * math.exp(
+            -params.comment_decay_rate * (t - c.time)
+        )
+    return IntensityState(user, cascade.cascade_id, a, b, t)
 
 
 # The proportional-rates baseline as it was before its risk sets were

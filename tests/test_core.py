@@ -9,20 +9,26 @@ from hawkesfeed.core import (
     TIE_SHIFT,
     Cascade,
     Event,
+    JumpTable,
     ModelParams,
     absorb_event,
-    comment_influence,
     corpus_participants,
     decay_state,
     event_content,
     intensity,
-    post_influence,
     separate_ties,
     state_at,
 )
 from hawkesfeed.errors import ConfigError
 
-from conftest import USERS, direct_store, make_cascade, make_params
+from conftest import (
+    USERS,
+    comment_influence,
+    direct_store,
+    make_cascade,
+    make_params,
+    post_influence,
+)
 
 
 # ---------------------------------------------------------------- validation
@@ -93,7 +99,7 @@ def test_last_event_global_matches_linear_scan():
                          window_end=10.0, origin=origin)
         instants = [origin + e.time for e in c.events]
         queries = [None, origin, origin - 1.0, np.nextafter(origin, np.inf),
-                   origin + 20.0, *instants,
+                   origin + 20.0, np.nextafter(instants[-1], np.inf), *instants,
                    *(np.nextafter(t, -np.inf) for t in instants),
                    *rng.uniform(origin - 1.0, origin + 11.0, size=5)]
         for before in queries:
@@ -177,7 +183,7 @@ def test_intensity_rejects_negative_time():
 def test_post_influence_checks_dimensions():
     params = make_params(pair_dim=4)
     with pytest.raises(ConfigError):
-        post_influence("bo", Event(0.0, "ana"), params, direct_store(pair_dim=3))
+        JumpTable(params, direct_store(pair_dim=3)).state_at("bo", make_cascade([]), 0.0)
 
 
 def test_event_content_without_content_coordinates_ignores_the_event():
@@ -189,7 +195,8 @@ def test_event_content_without_content_coordinates_ignores_the_event():
         post_pair_weights=[1.0], post_content_weights=[],
         comment_pair_weights=[1.0], comment_content_weights=[],
     )
-    assert comment_influence("bo", event, params, FeatureStoreStub()) == 1.0
+    jumps = JumpTable(params, FeatureStoreStub())
+    assert jumps.pair("bo", "ana")[1] + jumps.comment_score(event) == 1.0
 
 
 def test_event_content_refuses_a_dimension_mismatch():

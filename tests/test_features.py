@@ -12,18 +12,22 @@ from hawkesfeed.features import (
     Lexicon,
     annotate_corpus,
     build_feature_store,
-    character_features,
     content_features,
     demo_lexicon,
     extract_features,
     feature_set_masks,
     normalize_store,
-    relationship_features,
     table_pair_manifest,
     tokenize,
 )
 
-from conftest import USERS, make_cascade, random_corpus
+from conftest import (
+    USERS,
+    character_features,
+    make_cascade,
+    random_corpus,
+    relationship_features,
+)
 
 
 def hand_corpus():

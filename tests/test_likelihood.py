@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hawkesfeed.core import comment_influence, intensity, post_influence
+from hawkesfeed.core import intensity
 from hawkesfeed.errors import EstimationError
 from hawkesfeed.likelihood import (
     build_corpus_terms,
@@ -16,7 +16,15 @@ from hawkesfeed.likelihood import (
     penalty_weights,
 )
 
-from conftest import USERS, direct_store, make_cascade, make_params, random_corpus
+from conftest import (
+    USERS,
+    comment_influence,
+    direct_store,
+    make_cascade,
+    make_params,
+    post_influence,
+    random_corpus,
+)
 
 
 def build_terms(cascades, params, store, users=USERS):
