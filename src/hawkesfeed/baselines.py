@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import bisect
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,12 +33,20 @@ def _recency_key(cascade, t):
 
 
 def order_candidates(cascades, scores, t):
-    """Descending score, ties by recency before t descending, then id."""
-    rows = sorted(
-        zip(cascades, scores),
-        key=lambda cs: (-cs[1], -_recency_key(cs[0], t), cs[0].cascade_id),
-    )
-    return [c for c, _ in rows]
+    """Descending score, ties by recency before t descending, then id.
+
+    Recency is read only for cascades whose score ties another's.
+    """
+    if len(set(scores)) == len(scores):  # no ties: the score alone orders them
+        rows = sorted(zip(scores, cascades), key=itemgetter(0), reverse=True)
+        return [c for _, c in rows]
+    counts = Counter(scores)
+    rows = sorted(zip(scores, cascades), key=lambda sc: (
+        -sc[0],
+        -_recency_key(sc[1], t) if counts[sc[0]] > 1 else 0.0,
+        sc[1].cascade_id,
+    ))
+    return [c for _, c in rows]
 
 
 def rank_rchr(cascades, t):

@@ -195,11 +195,9 @@ def cmd_rank(args):
     params = io.read_model(args.model)
     cascades = annotate_corpus(cascades, store)
     candidates = candidate_cascades(cascades, args.t, args.policy)
-    jumps = JumpTable(params, store)
-    states = {
-        c.cascade_id: jumps.state_at(args.user, c, args.t - c.origin)
-        for c in candidates
-    }
+    built = JumpTable(params, store).states_at(
+        args.user, candidates, [args.t - c.origin for c in candidates])
+    states = {c.cascade_id: s for c, s in zip(candidates, built)}
     ordered = prioritize(args.user, args.t, candidates, states, params, store)
     for position, c in enumerate(ordered):
         print(f"{position}\t{c.cascade_id}\t{states[c.cascade_id].intensity:.6g}")

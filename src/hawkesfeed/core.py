@@ -11,14 +11,18 @@ weight vectors.
 A `JumpTable` is the one place that turns weights and features into
 jumps: a jump is its (user, publisher) pair part, computed once and read
 from the table, plus the event's content score, the same IEEE sum as the
-whole expression.  Content scores are taken event by event, not batched
-as `C @ w`, which may sum in another order and move a jump by an ulp.
+whole expression.  A batch of content scores is one per-row `np.vecdot`
+over the stacked content vectors, which gives each event's own dot
+product bit for bit (a test pins this); `C @ w` may sum in another order
+and move a jump by an ulp.  Feature vectors are stored contiguous, since
+a dot product over a strided vector may round differently too.
 
 One streaming path carries the intensity: an `IntensityState` holds the
-two terms, `state_at` builds it from scratch at any time (the reference,
-and what `intensity` evaluates), `decay_state` moves it forward and
-`absorb_event` decays it to a comment's arrival and adds that comment's
-jump.  The streaming and scratch routes agree to floating-point accuracy.
+two terms, `JumpTable.states_at` builds it from scratch at any time for
+a batch of cascades (the reference; `state_at` and `intensity` evaluate
+one), `decay_state` moves it forward and `absorb_event` decays it to a
+comment's arrival and adds that comment's jump.  The streaming and
+scratch routes agree to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,12 +41,15 @@ from .errors import ConfigError
 # Minutes added to the later of two exactly tied event times at ingestion.
 TIE_SHIFT = 1e-6
 
+_time = attrgetter("time")
+_content = attrgetter("content_features")
+
 
 def _feature_vector(values):
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("feature vector must be one-dimensional")
-    return v
+    return np.ascontiguousarray(v)
 
 
 @dataclass(eq=False)
@@ -235,6 +244,20 @@ def event_content(event, dim):
     return cf
 
 
+def _content_scores(events, w):
+    """`float(w @ event_content(e, w.size))` of each event, as one list.
+
+    Per-row `np.vecdot` on the C-contiguous stacked contents gives the
+    per-event dot product's floats; `C @ w` may not.
+    """
+    if not (w.size and events):
+        return [0.0] * len(events)
+    rows = list(map(_content, events))
+    if set(map(len, rows)) != {w.size}:
+        rows = [event_content(e, w.size) for e in events]
+    return np.vecdot(np.concatenate(rows).reshape(len(rows), w.size), w).tolist()
+
+
 @dataclass
 class IntensityState:
     """Decomposed intensity for one (user, cascade) pair.
@@ -300,25 +323,40 @@ class JumpTable:
         w = self.params.comment_content_weights
         return float(w @ np.ones(w.size))
 
-    def state_at(self, user, cascade, t):
-        """Scratch-built state at relative time t, from events strictly before t.
+    def states_at(self, user, cascades, ts):
+        """Scratch-built state of `user` on each cascade at its relative time.
 
-        This is the one scratch evaluation of the feature model's
-        intensity; at t = 0 it is the state at the moment the post appears.
+        Cascade i's state holds its events strictly before ts[i]; at
+        ts[i] = 0 it is the state at the moment the post appears.  This is
+        the one scratch evaluation of the feature model's intensity.  The
+        content of every comment in the batch is scored by one
+        `_content_scores` call; each cascade's terms are then summed in
+        order, one `math.exp` each, as an event-by-event loop would.
         """
-        if t < 0:
-            raise ValueError(f"state requested at negative time {t}")
-        post, rate = cascade.post, self.params.comment_decay_rate
-        a = (self.pair(user, post.publisher)[0] + self.post_score(post)) * math.exp(
-            -self.params.post_decay_rate * t
-        )
-        row, b = self._rows[user], 0.0
-        for c in cascade.comments:
-            if c.time >= t:
-                break
-            part = (row.get(c.publisher) or self.pair(user, c.publisher))[1]
-            b += (part + self.comment_score(c)) * math.exp(-rate * (t - c.time))
-        return IntensityState(user, cascade.cascade_id, a, b, t)
+        for t in ts:
+            if t < 0:
+                raise ValueError(f"state requested at negative time {t}")
+        p, row = self.params, self._rows[user]
+        prefixes = [c.comments[:bisect.bisect_left(c.comments, t, key=_time)]
+                    for c, t in zip(cascades, ts)]
+        scores = iter(_content_scores(list(chain.from_iterable(prefixes)),
+                                      p.comment_content_weights))
+        post_scores = _content_scores([c.post for c in cascades],
+                                      p.post_content_weights)
+        out = []
+        for c, t, prefix, post_score in zip(cascades, ts, prefixes, post_scores):
+            b = 0.0
+            for e, score in zip(prefix, scores):
+                part = (row.get(e.publisher) or self.pair(user, e.publisher))[1]
+                b += (part + score) * math.exp(-p.comment_decay_rate * (t - e.time))
+            a = (self.pair(user, c.post.publisher)[0] + post_score) * math.exp(
+                -p.post_decay_rate * t)
+            out.append(IntensityState(user, c.cascade_id, a, b, t))
+        return out
+
+    def state_at(self, user, cascade, t):
+        """`states_at` for one cascade."""
+        return self.states_at(user, [cascade], [t])[0]
 
     def absorb(self, state, comment, t, score=None):
         """State just after `comment` lands at time t on the state's own clock.

@@ -15,8 +15,9 @@ sizes are comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
 import warnings
+from dataclasses import dataclass, field, replace
 
 from .baselines import (
     ACTIVITY_HORIZON,
@@ -45,17 +46,17 @@ def prioritize(user, t, cascades, states, params, store):
     """Candidates in descending intensity for `user` at global minute t.
 
     `states` maps cascade id to an IntensityState already decayed to t;
-    cascades without one are scored from scratch on one `JumpTable`
-    shared by the whole query.  Ties break by most recent event, then
-    cascade id.
+    cascades without one are scored from scratch with one
+    `JumpTable.states_at` call for the whole query.  Ties break by most
+    recent event, then cascade id.
     """
-    jumps, scores = None, []
-    for c in cascades:
-        s = states.get(c.cascade_id) if states else None
-        if s is None:
-            jumps = jumps or JumpTable(params, store)
-            s = jumps.state_at(user, c, t - c.origin)
-        scores.append(s.intensity)
+    states, built = states or {}, {}
+    fresh = [c for c in cascades if c.cascade_id not in states]
+    if fresh:
+        built = dict(zip((c.cascade_id for c in fresh), JumpTable(params, store)
+                         .states_at(user, fresh, [t - c.origin for c in fresh])))
+    scores = [(states.get(c.cascade_id) or built[c.cascade_id]).intensity
+              for c in cascades]
     return order_candidates(cascades, scores, t)
 
 
@@ -116,8 +117,8 @@ class IntensityRanker:
     candidates states however long the stream runs.  In `evaluate_group`
     a cascade that leaves the candidate set never returns (its window has
     closed, or under the "active" policy its next comment would already
-    have raised); should a caller bring one back, `JumpTable.state_at`
-    rebuilds it.
+    have raised); should a caller bring one back, `JumpTable.states_at`
+    rebuilds it, with every other state the rank lacks, in one call.
 
     States run on the shared global clock: the stream hands rank and
     absorb the same timestamp, so states only ever move forward.  Mapping
@@ -135,16 +136,19 @@ class IntensityRanker:
         self.states = {
             c.cascade_id: self.states.get(c.cascade_id, {}) for c in candidates
         }
-        current = {}
+        current, fresh = {}, []
         for c in candidates:
             users = self.states[c.cascade_id]
             s = users.get(user)
             if s is None:
-                s = self.jumps.state_at(user, c, t - c.origin)
-                s.last_update_time = t
+                fresh.append(c)
             else:
-                s = decay_state(s, t, self.params)
-            users[user] = current[c.cascade_id] = s
+                users[user] = current[c.cascade_id] = decay_state(s, t, self.params)
+        if fresh:
+            for c, s in zip(fresh, self.jumps.states_at(
+                    user, fresh, [t - c.origin for c in fresh])):
+                s.last_update_time = t
+                self.states[c.cascade_id][user] = current[c.cascade_id] = s
         return prioritize(user, t, candidates, current, self.params, self.store)
 
     def absorb(self, cascade, event, t):
@@ -298,7 +302,10 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
 
     Comments at the same global minute are all ranked before any of them
     is absorbed, so an event never sees a simultaneous one; this keeps
-    streaming and scratch rankers in exact agreement.
+    streaming and scratch rankers in exact agreement.  Candidates are
+    filtered from a pool of the cascades whose window is open, kept as
+    the stream advances, so the work per comment does not grow with the
+    number of cascades in the group.
     """
     stream = []
     for c in test_cascades:
@@ -310,6 +317,10 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
 
     shadows = {c.cascade_id: _shadow(c) for c in test_cascades}
     ordered_shadows = sorted(shadows.values(), key=lambda c: (c.origin, c.cascade_id))
+    # the pool, in origin order: a cascade joins once its post precedes
+    # t and leaves once its window has closed, never to return; it is
+    # filtered only when one joins or the earliest window end has passed
+    live, admitted, closes = [], 0, math.inf
     trace = []
     i = 0
     while i < len(stream):
@@ -318,10 +329,15 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
             j += 1
         batch = stream[i:j]
         t = batch[0][0]
+        start = admitted
+        while (admitted < len(ordered_shadows)
+               and ordered_shadows[admitted].origin < t):
+            admitted += 1
+        if admitted > start or t >= closes:
+            live = candidate_cascades(live + ordered_shadows[start:admitted], t)
+            closes = min((c.origin + c.window_end for c in live), default=math.inf)
         for _, cid, _, e in batch:
-            candidates = candidate_cascades(
-                ordered_shadows, t, policy, activity_horizon
-            )
+            candidates = candidate_cascades(live, t, policy, activity_horizon)
             ids = [c.cascade_id for c in candidates]
             if cid not in ids:
                 raise ConfigError(

@@ -7,7 +7,7 @@ import pytest
 from hawkesfeed.baselines import ACTIVITY_HORIZON, WEIGHT_CAP, CoxParams
 from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
 from hawkesfeed.errors import ConfigError, EstimationError
-from hawkesfeed.features import FeatureStore
+from hawkesfeed.features import FeatureStore, build_feature_store
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 USERS = ["ana", "bo", "cy", "di"]
@@ -101,6 +101,39 @@ def hwk_intensity(params, user, cascade, local_t):
             -params.comment_decay_rate * (local_t - e.time)
         )
     return float(lam)
+
+
+# Corpus variants and probe times shared by the scratch-state tests.
+
+
+def strip_some_content(cascades, seed):
+    """The corpus with about half its events, posts included, stripped of content."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for c in cascades:
+        bare = lambda e: Event(e.time, e.publisher) if rng.uniform() < 0.5 else e
+        out.append(Cascade(c.cascade_id, bare(c.post), [bare(e) for e in c.comments],
+                           c.window_end, c.group_id, c.origin))
+    return out
+
+
+def composed_store(corpus, content_dim):
+    """Character/relationship store from the corpus; without content names
+    when `content_dim` is 0 (a table reads only its pair vectors)."""
+    store = build_feature_store(corpus)
+    if content_dim:
+        return store
+    return FeatureStore(pair_names=store.pair_names, content_names=[],
+                        character=store.character, relationship=store.relationship)
+
+
+def query_times(cascade):
+    """Before the first comment, exactly at and one ulp after every comment,
+    between comments and after the window."""
+    times = [0.0, cascade.window_end + 3.0]
+    for e in cascade.comments:
+        times += [e.time, float(np.nextafter(e.time, np.inf)), e.time + 0.37]
+    return times
 
 
 # The per-definition interaction counts that `extract_features` replaced

@@ -13,8 +13,7 @@ import pytest
 
 from hawkesfeed import core
 from hawkesfeed.baselines import fit_hwk_em, order_candidates
-from hawkesfeed.core import Cascade, Event, JumpTable, decay_state, intensity, state_at
-from hawkesfeed.features import FeatureStore, build_feature_store
+from hawkesfeed.core import JumpTable, decay_state, intensity, state_at
 from hawkesfeed.rank_eval import (
     IntensityRanker,
     PairwiseRanker,
@@ -27,10 +26,13 @@ from hawkesfeed.simulate import random_sim_config, simulate_corpus
 from conftest import (
     USERS,
     comment_influence,
+    composed_store,
     direct_store,
     make_params,
+    query_times,
     random_corpus,
     scratch_state_at,
+    strip_some_content,
 )
 
 
@@ -67,26 +69,6 @@ class OracleRanker:
             users[user] = s
 
 
-def strip_some_content(cascades, seed):
-    """The corpus with about half its events, posts included, stripped of content."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for c in cascades:
-        bare = lambda e: Event(e.time, e.publisher) if rng.uniform() < 0.5 else e
-        out.append(Cascade(c.cascade_id, bare(c.post), [bare(e) for e in c.comments],
-                           c.window_end, c.group_id, c.origin))
-    return out
-
-
-def composed_store(corpus, content_dim):
-    """Character/relationship store from the corpus, `content_dim` 0 or 2."""
-    store = build_feature_store(corpus)
-    if content_dim:
-        return store
-    return FeatureStore(pair_names=store.pair_names, content_names=[],
-                        character=store.character, relationship=store.relationship)
-
-
 def model_cases():
     for seed in (1, 2, 3):
         corpus = strip_some_content(
@@ -96,13 +78,6 @@ def model_cases():
                 direct_store(3, content_dim, seed=seed)
             store = composed_store(corpus, content_dim)
             yield corpus, make_params(store.pair_dim, content_dim, seed=seed), store
-
-
-def query_times(cascade):
-    times = [0.0, cascade.window_end + 3.0]
-    for e in cascade.comments:
-        times += [e.time, float(np.nextafter(e.time, np.inf)), e.time + 0.37]
-    return times
 
 
 def test_layouts_cover_both_stores_and_content():
