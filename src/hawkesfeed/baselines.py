@@ -12,6 +12,7 @@ served on the feature model's streaming state.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -51,8 +52,14 @@ def order_candidates(cascades, scores, t):
 
 def rank_rchr(cascades, t):
     """Most recently active first, among events strictly before t, then by
-    id; the recency score is its own tie-break, so it is computed once."""
-    return sorted(cascades, key=lambda c: (-_recency_key(c, t), c.cascade_id))
+    id; each cascade's recency is read once."""
+    rows = []
+    for i, c in enumerate(cascades):
+        last = c.last_event_global(before=t)
+        # the position i is unique, so sorting never compares cascades
+        rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
+    rows.sort()
+    return [row[3] for row in rows]
 
 
 # ---------------------------------------------------------------- nearest profile

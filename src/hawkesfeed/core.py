@@ -20,9 +20,12 @@ a dot product over a strided vector may round differently too.
 One streaming path carries the intensity: an `IntensityState` holds the
 two terms, `JumpTable.states_at` builds it from scratch at any time for
 a batch of cascades (the reference; `state_at` and `intensity` evaluate
-one), `decay_state` moves it forward and `absorb_event` decays it to a
-comment's arrival and adds that comment's jump.  The streaming and
-scratch routes agree to floating-point accuracy.
+one), `IntensityState.advance` decays it forward in place and
+`JumpTable.absorb` advances it to a comment's arrival and adds that
+comment's jump in place.  The decay and the jump are written there and
+nowhere else; `decay_state` and `absorb_event` apply them to a copy and
+leave their input as it was.  The streaming and scratch routes agree to
+floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -264,9 +267,12 @@ class IntensityState:
 
     `post_term` and `comment_term` decay at their own rates between
     events; their sum is the intensity at `last_update_time`.  Single
-    writer per pair: updates are O(1) and never rewind.  The clock is the
-    caller's: `state_at` starts it on the cascade's relative axis, and a
-    caller may move `last_update_time` to any axis it then keeps using.
+    writer per pair: `advance` and `JumpTable.absorb` update the state in
+    place, in O(1), and never rewind; a reader that must not disturb a
+    writer's state uses `decay_state`, which works on a copy.  The clock
+    is the caller's: `state_at` starts it on the cascade's relative axis,
+    and a caller may move `last_update_time` to any axis it then keeps
+    using.
     """
 
     user: str
@@ -277,6 +283,19 @@ class IntensityState:
 
     @property
     def intensity(self):
+        return self.post_term + self.comment_term
+
+    def advance(self, t, params):
+        """Decay both terms to t >= last_update_time in place; returns the
+        intensity at t (the property's sum, without a second call)."""
+        dt = t - self.last_update_time
+        if dt < 0:
+            raise ValueError(
+                f"state at {self.last_update_time} cannot rewind to {t}"
+            )
+        self.post_term = self.post_term * math.exp(-params.post_decay_rate * dt)
+        self.comment_term = self.comment_term * math.exp(-params.comment_decay_rate * dt)
+        self.last_update_time = t
         return self.post_term + self.comment_term
 
 
@@ -359,13 +378,14 @@ class JumpTable:
         return self.states_at(user, [cascade], [t])[0]
 
     def absorb(self, state, comment, t, score=None):
-        """State just after `comment` lands at time t on the state's own clock.
+        """Move `state` in place to just after `comment` lands at time t on
+        the state's own clock; returns the state.
 
-        The state is first decayed to t (which refuses to rewind), then the
+        The state is first advanced to t (which refuses to rewind), then the
         comment's jump for the state's user is added.  A caller absorbing
         one comment into many states passes its `comment_score` once.
         """
-        state = decay_state(state, t, self.params)
+        state.advance(t, self.params)
         if score is None:
             score = self.comment_score(comment)
         state.comment_term += self.pair(state.user, comment.publisher)[1] + score
@@ -387,21 +407,12 @@ def intensity(user, cascade, t, params, store):
 
 
 def decay_state(state, t2, params):
-    """State advanced to t2 >= last_update_time with both terms decayed."""
-    dt = t2 - state.last_update_time
-    if dt < 0:
-        raise ValueError(
-            f"state at {state.last_update_time} cannot rewind to {t2}"
-        )
-    return IntensityState(
-        state.user,
-        state.cascade_id,
-        state.post_term * math.exp(-params.post_decay_rate * dt),
-        state.comment_term * math.exp(-params.comment_decay_rate * dt),
-        t2,
-    )
+    """A copy of `state` advanced to t2 >= last_update_time; `state` is untouched."""
+    state = replace(state)
+    state.advance(t2, params)
+    return state
 
 
 def absorb_event(state, comment, t, params, store):
-    """`JumpTable.absorb` on a table of its own."""
-    return JumpTable(params, store).absorb(state, comment, t)
+    """`JumpTable.absorb` on a copy of `state` and a table of its own."""
+    return JumpTable(params, store).absorb(replace(state), comment, t)

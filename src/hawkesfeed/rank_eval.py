@@ -2,7 +2,7 @@
 
 A ranker is anything with two methods:
 
-    rank(user, t, candidates) -> candidates in serving order
+    rank(user, t, candidates) -> the same candidate objects, in serving order
     absorb(cascade, event, t) -> None   (event already appended to cascade)
 
 The harness replays a test corpus one comment at a time: rank the user's
@@ -29,7 +29,7 @@ from .baselines import (
     rank_rchr,
     update_profile,
 )
-from .core import Cascade, JumpTable, corpus_participants, decay_state
+from .core import Cascade, JumpTable, corpus_participants
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
 from .fit import FitConfig, fit
@@ -109,21 +109,25 @@ def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
 class IntensityRanker:
     """Serves by model intensity from one `IntensityState` per (user, cascade).
 
-    `states` is indexed by cascade, `{cascade_id: {user: state}}`, so an
-    absorb decays and bumps only the states of the cascade that received
-    the comment, scoring its content once for all of them; every jump is
-    read from the ranker's one `JumpTable`.  Each rank first keeps only
-    the cascades among its candidates, so the ranker holds at most users ×
-    candidates states however long the stream runs.  In `evaluate_group`
-    a cascade that leaves the candidate set never returns (its window has
-    closed, or under the "active" policy its next comment would already
-    have raised); should a caller bring one back, `JumpTable.states_at`
+    `states` is indexed by cascade, `{cascade_id: {user: state}}`.  The
+    ranker owns its states and moves them in place: a rank advances each
+    of the ranked user's states on its candidates to t and takes its
+    intensity as the score, and an absorb advances and bumps only the
+    states of the cascade that received the comment, scoring its content
+    once for all of them; every jump is read from the ranker's one
+    `JumpTable`.  Each rank first keeps only the cascades among its
+    candidates, so the ranker holds at most users × candidates states
+    however long the stream runs.  In `evaluate_group` a cascade that
+    leaves the candidate set never returns (its window has closed, or
+    under the "active" policy its next comment would already have
+    raised); should a caller bring one back, `JumpTable.states_at`
     rebuilds it, with every other state the rank lacks, in one call.
 
     States run on the shared global clock: the stream hands rank and
-    absorb the same timestamp, so states only ever move forward.  Mapping
-    back to cascade-local time would reintroduce rounding drift between
-    the two calls.
+    absorb the same timestamp, so states only ever move forward, and a
+    rank or absorb at an earlier t raises `ValueError`.  Mapping back to
+    cascade-local time would reintroduce rounding drift between the two
+    calls.
     """
 
     def __init__(self, params, store):
@@ -133,30 +137,33 @@ class IntensityRanker:
         self.states = {}
 
     def rank(self, user, t, candidates):
-        self.states = {
-            c.cascade_id: self.states.get(c.cascade_id, {}) for c in candidates
-        }
-        current, fresh = {}, []
-        for c in candidates:
-            users = self.states[c.cascade_id]
+        held, params = self.states, self.params
+        states, scores, fresh = {}, [], []
+        for i, c in enumerate(candidates):
+            cid = c.cascade_id
+            users = states[cid] = held.get(cid) or {}
             s = users.get(user)
             if s is None:
-                fresh.append(c)
+                fresh.append(i)
+                scores.append(None)
             else:
-                users[user] = current[c.cascade_id] = decay_state(s, t, self.params)
+                scores.append(s.advance(t, params))
         if fresh:
-            for c, s in zip(fresh, self.jumps.states_at(
-                    user, fresh, [t - c.origin for c in fresh])):
+            built = [candidates[i] for i in fresh]
+            for i, c, s in zip(fresh, built, self.jumps.states_at(
+                    user, built, [t - c.origin for c in built])):
                 s.last_update_time = t
-                self.states[c.cascade_id][user] = current[c.cascade_id] = s
-        return prioritize(user, t, candidates, current, self.params, self.store)
+                states[c.cascade_id][user] = s
+                scores[i] = s.intensity
+        self.states = states
+        return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
         users = self.states.get(cascade.cascade_id)
         if users:
             score = self.jumps.comment_score(event)
-            for user, s in users.items():
-                users[user] = self.jumps.absorb(s, event, t, score)
+            for s in users.values():
+                self.jumps.absorb(s, event, t, score)
 
 
 class RecencyRanker:
@@ -338,14 +345,16 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
             closes = min((c.origin + c.window_end for c in live), default=math.inf)
         for _, cid, _, e in batch:
             candidates = candidate_cascades(live, t, policy, activity_horizon)
-            ids = [c.cascade_id for c in candidates]
-            if cid not in ids:
+            # candidates and the served order hold the shadow objects
+            # themselves, so the target is found by identity
+            target = shadows[cid]
+            if target not in candidates:
                 raise ConfigError(
                     f"cascade {cid!r} fell out of the candidate set at t={t}; "
                     f"the {policy!r} policy cannot score this corpus"
                 )
             served = ranker.rank(e.publisher, t, candidates)
-            trace.append([c.cascade_id for c in served].index(cid))
+            trace.append(served.index(target))
         for _, cid, _, e in batch:
             shadow = shadows[cid]
             shadow.comments.append(e)

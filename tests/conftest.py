@@ -221,6 +221,23 @@ def comment_influence(user, comment, params, store):
     return float(params.comment_pair_weights @ pair + params.comment_content_weights @ content)
 
 
+def decayed_copy(state, t2, params):
+    """`decay_state` as it was before the decay moved into
+    `IntensityState.advance`: a new state, both terms decayed to t2."""
+    dt = t2 - state.last_update_time
+    if dt < 0:
+        raise ValueError(
+            f"state at {state.last_update_time} cannot rewind to {t2}"
+        )
+    return IntensityState(
+        state.user,
+        state.cascade_id,
+        state.post_term * math.exp(-params.post_decay_rate * dt),
+        state.comment_term * math.exp(-params.comment_decay_rate * dt),
+        t2,
+    )
+
+
 def scratch_state_at(user, cascade, t, params, store):
     """Scratch-built state at relative time t, from events strictly before t.
 

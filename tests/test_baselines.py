@@ -6,6 +6,7 @@ import pytest
 
 from hawkesfeed.baselines import (
     CoxParams,
+    _recency_key,
     cascade_representative,
     cox_covariate,
     cox_partial_log_likelihood,
@@ -61,6 +62,33 @@ def test_rchr_breaks_exact_ties_by_id():
     a = make_cascade([(8.0, "bo")], cascade_id="A", origin=0.0)
     b = make_cascade([(6.0, "cy")], cascade_id="B", origin=2.0)
     assert ids(rank_rchr([b, a], 10.0)) == ["A", "B"]
+
+
+def rchr_by_sort_key(cascades, t):
+    """`rank_rchr` as it was: one `sorted` over a per-call recency key."""
+    return sorted(cascades, key=lambda c: (-_recency_key(c, t), c.cascade_id))
+
+
+def test_rchr_equals_the_sort_key_order():
+    rng = np.random.default_rng(11)
+    ties = bare = late = 0
+    for _ in range(40):
+        cascades = []
+        for i in rng.permutation(10):
+            # whole minutes, so newest events often tie across cascades
+            origin = float(rng.integers(0, 4))
+            times = sorted({float(x) for x in rng.integers(1, 7, size=rng.integers(0, 4))})
+            cascades.append(make_cascade([(x, "bo") for x in times],
+                                         cascade_id=f"k{i}", origin=origin))
+        events = sorted({c.origin + e.time for c in cascades for e in c.events})
+        for t in [*events, *(x - 0.5 for x in events), events[-1] + 1.0]:
+            assert rank_rchr(cascades, t) == rchr_by_sort_key(cascades, t)
+            keys = [_recency_key(c, t) for c in cascades]
+            ties += len(set(keys)) < len(keys)
+            late += any(c.comments and c.origin + c.comments[-1].time >= t
+                        for c in cascades)
+        bare += any(not c.comments for c in cascades)
+    assert ties and bare and late
 
 
 def test_order_candidates_score_then_recency_then_id():

@@ -220,7 +220,7 @@ def test_group_without_comments_is_an_error():
 
 def test_target_outside_candidates_is_an_error():
     a = make_cascade([(1.0, "bo"), (20.0, "cy")], cascade_id="A", window_end=30.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="fell out of the candidate set"):
         evaluate_group(IdentityRanker(), [a], policy="active", activity_horizon=5.0)
 
 
