@@ -23,6 +23,7 @@ import numpy as np
 from .core import ModelParams
 from .errors import EstimationError
 from .features import FeatureStore
+from .fit import _projected_newton, projected_gradient_norm
 from .likelihood import comment_links
 
 ACTIVITY_HORIZON = 720.0  # minutes; a cascade is active this long after its last event
@@ -107,6 +108,7 @@ def rank_nn(user, cascades, t, store, profile, with_pairs=False):
 # ------------------------------------------------------- proportional rates (Cox)
 
 WEIGHT_CAP = 20.0
+COX_TOLERANCE = 1e-12  # fit_cox stops on a relative rise of at most this
 
 
 @dataclass(eq=False)
@@ -199,28 +201,27 @@ def cox_partial_log_likelihood(weights, design):
     return value
 
 
-def _cox_gradient(weights, design):
-    """Sum over comments of x(target) - E_softmax[x] over its risk set."""
+def _cox_derivatives(weights, design):
+    """Gradient sum(x(target) - E) and Hessian -(X^T diag(p) X - E^T E) of
+    the partial likelihood: p is each risk set's softmax, E its mean of x."""
     _, e, total = _segment_softmax(design.rows @ weights, design)
     p = e / total[design.segment]
-    expected = np.add.reduceat(p[:, None] * design.rows, design.starts)
+    weighted = p[:, None] * design.rows
+    expected = np.add.reduceat(weighted, design.starts)
     # accumulated comment by comment, in time order
-    return np.cumsum(design.rows[design.targets] - expected, axis=0)[-1]
+    grad = np.cumsum(design.rows[design.targets] - expected, axis=0)[-1]
+    return grad, expected.T @ expected - design.rows.T @ weighted
 
 
 def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
             weight_cap=WEIGHT_CAP, activity_horizon=ACTIVITY_HORIZON):
-    """Maximize the partial likelihood by gradient ascent with backtracking.
+    """Maximize the concave partial likelihood from zero weights with
+    `fit`'s projected-Newton core, on `_cox_design`'s stacked risk sets.
 
-    The partial likelihood is concave; separation would push weights to
-    infinity, so coordinates are capped at +-weight_cap with a warning.
-    Each iteration takes the gradient at w and tries steps along it,
-    halving from the last accepted step (doubled, at most 1e6), and
-    accepts the first one that raises the value by at least 1e-12.  The
-    fit stops when no step of at least 1e-18 does, or after
-    `max_iterations` iterations, with a warning.  Every evaluation runs on
-    `_cox_design`'s stacked risk sets: one matrix product and a few
-    segment reductions, whatever the number of comments.
+    Separation would push weights to infinity, so they are boxed in
+    [-weight_cap, weight_cap], with a warning when one reaches the cap.  A
+    fit stopped by its iteration cap or line search before its relative
+    rise fell to `COX_TOLERANCE` warns too.
     """
     if feature_indices is None:
         feature_indices = np.arange(store.content_dim)
@@ -234,27 +235,22 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
         raise EstimationError(
             "every risk set is a single cascade; the weights are unidentifiable"
         )
-    w = np.zeros(feature_indices.size)
-    f = cox_partial_log_likelihood(w, design)
-    step = 1.0
-    for _ in range(max_iterations):
-        g = _cox_gradient(w, design)
-        improved = False
-        while step > 1e-18:
-            cand = np.clip(w + step * g, -weight_cap, weight_cap)
-            fc = cox_partial_log_likelihood(cand, design)
-            if fc >= f + 1e-12:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        w, f = cand, fc
-        step = min(step * 2.0, 1e6)
-    else:
+
+    def objective(w, order=0):
+        f = -cox_partial_log_likelihood(w, design)
+        if not order:
+            return f
+        grad, hess = _cox_derivatives(w, design)
+        return f, -grad, -hess
+
+    w, _, _, stop_reason, g = _projected_newton(
+        objective, np.zeros(feature_indices.size), -weight_cap, weight_cap,
+        max_iterations, COX_TOLERANCE)
+    if stop_reason != "tolerance":
+        norm = projected_gradient_norm(w, g, lower=-weight_cap, upper=weight_cap)
         warnings.warn(
-            f"proportional-rates fit stopped at max_iterations={max_iterations} "
-            "while steps still improved the partial likelihood",
+            f"proportional-rates fit stopped short on its {stop_reason}, with "
+            f"max_iterations={max_iterations} (projected-gradient norm {norm:.3g})",
             stacklevel=2,
         )
     if np.any(np.abs(w) >= weight_cap - 1e-9):

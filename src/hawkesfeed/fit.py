@@ -2,18 +2,15 @@
 
 The objective is the negative log-likelihood plus a per-block weighted l1
 penalty.  On the nonnegative orthant the penalty is linear, so the whole
-objective is smooth wherever it is finite and convex, and the only
-constraint is a coordinate clamp at zero.  With at most a few dozen
-weights the Hessian X^T diag(lambda^-2) X of the design matrix is cheap,
-so every iteration takes a projected Newton step (Bertsekas 1982, SIAM J.
-Control Optim. 20:221): coordinates the gradient pushes down form the
-active set when they sit within epsilon of zero or when their own Newton
-step would cross zero, and take a diagonally scaled gradient step; the
-rest take a Newton step, and an Armijo backtrack along the projection arc
-picks the step length.  No step is accepted that raises the objective, so
-the trace is monotone; the clamp makes exact zeros reachable, so large
-penalties produce genuinely sparse solutions.
-"""
+objective is smooth wherever it is finite and convex.  With at most a few
+dozen weights the Hessian X^T diag(lambda^-2) X is cheap, so every
+iteration takes a projected Newton step (Bertsekas 1982, SIAM J. Control
+Optim. 20:221) with an Armijo backtrack along the projection arc.  One
+core, `_projected_newton`, minimizes any smooth convex objective over a
+box [lower, upper]: `fit` runs it on [0, inf) and `baselines.fit_cox` on
+the negated Cox partial likelihood over [-cap, cap].  The trace is
+monotone; the projection makes exact zeros reachable, so large penalties
+produce genuinely sparse solutions."""
 
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ from .likelihood import (
 
 DEFAULT_PENALTY_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
 
-# Bertsekas' epsilon: the widest band above zero that can hold active
+# Bertsekas' epsilon: the widest band next to a bound that can hold active
 # coordinates; it shrinks with the distance to stationarity.
 _ACTIVE_BAND = 1e-3
 # Armijo sufficient-decrease fraction along the projection arc.
@@ -41,6 +38,9 @@ _ARMIJO = 1e-4
 _RIDGE = 1e-10
 # The line search gives up (stop reason "line search") below this step.
 _MIN_STEP = 1e-18
+_STEP_SHRINK = 0.5  # backtracking factor of the line search
+_INITIAL_WEIGHT = 0.01  # start of every free feature weight
+_INTENSITY_FLOOR = 1e-12  # clamp inside the log while the line search probes
 
 
 @dataclass
@@ -51,9 +51,6 @@ class FitConfig:
     comment_decay_rate: float = 0.01
     max_iterations: int = 500
     tolerance: float = 1e-9          # relative objective decrease
-    initial_weight: float = 0.01
-    step_shrink: float = 0.5         # backtracking factor of the line search
-    intensity_floor: float = 1e-12   # clamp inside log during line search only
     cv_folds: int = 5
     pair_mask: np.ndarray | None = None
     content_mask: np.ndarray | None = None
@@ -61,10 +58,6 @@ class FitConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must be in (0, 1)")
-        if self.initial_weight <= 0:
-            raise ValueError("initial_weight must be positive")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
 
@@ -82,49 +75,47 @@ class FitResult:
     projected_gradient_norm: float   # at the returned weights
 
 
-def projected_gradient_norm(theta, grad, mask=None):
-    """Norm of the feasible-direction gradient: full where theta > 0, only
-    the negative part on the boundary."""
-    r = np.where(theta > 0, grad, np.minimum(grad, 0.0))
-    if mask is not None:
-        r = np.where(mask, r, 0.0)
-    return float(np.linalg.norm(r))
+def _gap(theta, grad, lower, upper):
+    """Distance to the bound the gradient pushes toward (lower if grad >= 0)."""
+    return np.where(grad >= 0, theta - lower, upper - theta)
+
+
+def projected_gradient_norm(theta, grad, mask=True, lower=0.0, upper=np.inf):
+    """Norm of the feasible-direction gradient in the box [lower, upper]:
+    a coordinate on the bound its gradient pushes it toward counts zero."""
+    free = mask & (_gap(theta, grad, lower, upper) > 0)
+    return float(np.linalg.norm(np.where(free, grad, 0.0)))
 
 
 def _full_mask(config, pair_dim, content_dim):
-    pair = (
-        np.ones(pair_dim, bool)
-        if config.pair_mask is None
-        else np.asarray(config.pair_mask, bool)
-    )
-    content = (
-        np.ones(content_dim, bool)
-        if config.content_mask is None
-        else np.asarray(config.content_mask, bool)
+    pair, content = (
+        np.ones(n, bool) if m is None else np.asarray(m, bool)
+        for m, n in ((config.pair_mask, pair_dim), (config.content_mask, content_dim))
     )
     if pair.shape != (pair_dim,) or content.shape != (content_dim,):
         raise EstimationError("feature masks do not match the store manifests")
     return np.concatenate([pair, content, pair, content])
 
 
-def _newton_direction(theta, grad, hess, mask):
+def _newton_direction(theta, grad, hess, lower, upper, mask):
     """Bertsekas' projected Newton direction at theta; zero off the mask.
 
-    A coordinate the gradient pushes down is active when it sits within the
-    epsilon band of zero, or when its own Newton step would carry it past
-    zero; an active coordinate moves by its diagonal Newton step, cut at
-    zero.  Coordinates no live event loads (zero curvature) always count as
-    past zero: their slope is the compensator plus the penalty, never
-    negative.  The rest take a Newton step on the free-set Hessian.
-    """
+    A coordinate is active when it sits within the epsilon band of the
+    bound its gradient pushes it toward, or when its own Newton step would
+    carry it past that bound; it then moves by that step, cut at the bound.
+    In `fit`, unloaded coordinates (zero curvature) always count as past
+    zero: their slope, the compensator plus the penalty, is never negative.
+    The rest take a Newton step on the free-set Hessian."""
     curv = np.diag(hess)
     band = min(_ACTIVE_BAND, float(np.linalg.norm(
-        np.where(mask, theta - np.maximum(theta - grad, 0.0), 0.0))))
-    past = mask & (grad >= 0) & (theta * curv <= grad)
-    within = mask & (grad > 0) & (theta <= band) & ~past
+        np.where(mask, theta - np.clip(theta - grad, lower, upper), 0.0))))
+    gap = _gap(theta, grad, lower, upper)
+    finite = np.isfinite(gap)  # an infinite gap is never passed; inf * 0 is not formed
+    past = mask & finite & (np.where(finite, gap, 0.0) * curv <= np.abs(grad))
+    within = mask & (grad != 0) & (gap <= band) & ~past
     newton = mask & ~past & ~within & (curv > 0)
     direction = np.zeros_like(theta)
-    direction[past] = -theta[past]
+    direction[past] = np.where(grad >= 0, -gap, gap)[past]
     direction[within] = -grad[within] / curv[within]
     if newton.any():
         # Jacobi scaling, plus a ridge for singular free-set Hessians
@@ -133,6 +124,42 @@ def _newton_direction(theta, grad, hess, mask):
         h[np.diag_indices_from(h)] += _RIDGE
         direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
     return direction
+
+
+def _projected_newton(objective, theta, lower, upper, max_iterations, tolerance,
+                      mask=True, on_iterate=None):
+    """Minimize `objective` (value; with order 2 also gradient and Hessian)
+    over the box [lower, upper], moving only coordinates on `mask`, until a
+    relative decrease of at most `tolerance` ("tolerance"), `max_iterations`
+    ("iteration cap") or no step passing the Armijo test ("line search").
+    Returns (theta, trace, iterations, stop reason, gradient at theta);
+    `on_iterate` sees a copy of every accepted iterate."""
+    f, g, h = objective(theta, 2)
+    trace = [f]
+    stop_reason = "iteration cap"
+    it = 0
+    for it in range(1, max_iterations + 1):
+        direction = _newton_direction(theta, g, h, lower, upper, mask)
+        step = 1.0
+        while step > _MIN_STEP:
+            cand = np.clip(theta + step * direction, lower, upper)
+            fc = objective(cand)
+            if fc <= f and f - fc >= _ARMIJO * float(g @ (theta - cand)):
+                break
+            step *= _STEP_SHRINK
+        else:
+            stop_reason = "line search"
+            break
+        theta = cand
+        f_prev, f = f, fc
+        trace.append(f)
+        if on_iterate is not None:
+            on_iterate(theta.copy())
+        _, g, h = objective(theta, 2)
+        if (f_prev - f) <= tolerance * max(1.0, abs(f_prev)):
+            stop_reason = "tolerance"
+            break
+    return theta, trace, it, stop_reason, g
 
 
 def fit(cascades, store, users, config=None, on_iterate=None):
@@ -158,45 +185,21 @@ def fit(cascades, store, users, config=None, on_iterate=None):
     def objective(theta, order=0):
         """Objective, or with order 2 (objective, gradient, Hessian)."""
         value, grad, hess = log_likelihood_derivatives(
-            terms, theta, floor=config.intensity_floor, order=order
+            terms, theta, floor=_INTENSITY_FLOOR, order=order
         )
         f = -value + float(z_flat @ theta)
         return (f, z_flat - grad, -hess) if order else f
 
-    theta = np.where(mask, config.initial_weight, 0.0)
+    theta = np.where(mask, _INITIAL_WEIGHT, 0.0)
     check, _, _ = log_likelihood_derivatives(terms, theta, order=0)
     if not np.isfinite(check):
         raise EstimationError(
             "objective is not finite at the starting point: some comment has "
             "no feature support under this mask"
         )
-
-    f, g, h = objective(theta, 2)
-    trace = [f]
-    stop_reason = "iteration cap"
-    it = 0
-    for it in range(1, config.max_iterations + 1):
-        direction = _newton_direction(theta, g, h, mask)
-        step = 1.0
-        while step > _MIN_STEP:
-            cand = np.maximum(theta + step * direction, 0.0)
-            fc = objective(cand)
-            if fc <= f and f - fc >= _ARMIJO * float(g @ (theta - cand)):
-                break
-            step *= config.step_shrink
-        else:
-            stop_reason = "line search"
-            break
-        theta = cand
-        f_prev, f = f, fc
-        trace.append(f)
-        if on_iterate is not None:
-            on_iterate(theta.copy())
-        _, g, h = objective(theta, 2)
-        if (f_prev - f) <= config.tolerance * max(1.0, abs(f_prev)):
-            stop_reason = "tolerance"
-            break
-
+    theta, trace, it, stop_reason, g = _projected_newton(
+        objective, theta, 0.0, np.inf, config.max_iterations, config.tolerance,
+        mask, on_iterate)
     params = ModelParams(
         *np.split(theta, np.cumsum([kp, kd, kp])),
         post_decay_rate=config.post_decay_rate,
@@ -210,7 +213,7 @@ def fit(cascades, store, users, config=None, on_iterate=None):
         objective_trace=trace,
         iterations=it,
         converged=stop_reason == "tolerance",
-        final_objective=f,
+        final_objective=trace[-1],
         log_likelihood=loglik,
         penalty=tuple(z),
         stop_reason=stop_reason,

@@ -312,7 +312,7 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
     streaming and scratch rankers in exact agreement.  Candidates are
     filtered from a pool of the cascades whose window is open, kept as
     the stream advances, so the work per comment does not grow with the
-    number of cascades in the group.
+    number of cascades in the group.  Under "all" the pool itself is served.
     """
     stream = []
     for c in test_cascades:
@@ -344,7 +344,8 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
             live = candidate_cascades(live + ordered_shadows[start:admitted], t)
             closes = min((c.origin + c.window_end for c in live), default=math.inf)
         for _, cid, _, e in batch:
-            candidates = candidate_cascades(live, t, policy, activity_horizon)
+            candidates = live if policy == "all" else candidate_cascades(
+                live, t, policy, activity_horizon)
             # candidates and the served order hold the shadow objects
             # themselves, so the target is found by identity
             target = shadows[cid]

@@ -8,6 +8,12 @@ from hawkesfeed.baselines import ACTIVITY_HORIZON, WEIGHT_CAP, CoxParams
 from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
 from hawkesfeed.errors import ConfigError, EstimationError
 from hawkesfeed.features import FeatureStore, build_feature_store
+from hawkesfeed.fit import _full_mask
+from hawkesfeed.likelihood import (
+    build_corpus_terms,
+    log_likelihood_derivatives,
+    penalty_weights,
+)
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 USERS = ["ana", "bo", "cy", "di"]
@@ -332,6 +338,18 @@ def cox_gradient_loop(weights, design):
     return grad
 
 
+def cox_hessian_loop(weights, design):
+    """Per risk set, minus the softmax covariance of its rows, summed."""
+    hess = np.zeros((weights.size, weights.size))
+    for rows, _ in design:
+        scores = rows @ weights
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        mean = p @ rows
+        hess -= (p[:, None] * rows).T @ rows - np.outer(mean, mean)
+    return hess
+
+
 def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
                  tolerance=1e-10, weight_cap=WEIGHT_CAP,
                  activity_horizon=ACTIVITY_HORIZON):
@@ -377,6 +395,79 @@ def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
         )
     names = [store.content_names[i] for i in feature_indices]
     return CoxParams(weights=w, feature_names=names, feature_indices=feature_indices)
+
+
+# The feature-model fit as it was before its loop became the shared
+# box-bounded core: `_newton_direction` and the iteration loop verbatim,
+# with its constants and the three that were FitConfig fields (initial
+# weight 0.01, step shrink 0.5, intensity floor 1e-12) written in.  Kept as the oracle
+# that `fit` still takes the same iterates bit for bit.
+
+
+def newton_direction_orthant(theta, grad, hess, mask):
+    curv = np.diag(hess)
+    band = min(1e-3, float(np.linalg.norm(
+        np.where(mask, theta - np.maximum(theta - grad, 0.0), 0.0))))
+    past = mask & (grad >= 0) & (theta * curv <= grad)
+    within = mask & (grad > 0) & (theta <= band) & ~past
+    newton = mask & ~past & ~within & (curv > 0)
+    direction = np.zeros_like(theta)
+    direction[past] = -theta[past]
+    direction[within] = -grad[within] / curv[within]
+    if newton.any():
+        # Jacobi scaling, plus a ridge for singular free-set Hessians
+        s = 1.0 / np.sqrt(curv[newton])
+        h = s[:, None] * hess[np.ix_(newton, newton)] * s[None, :]
+        h[np.diag_indices_from(h)] += 1e-10
+        direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
+    return direction
+
+
+def fit_loop(cascades, store, users, config, on_iterate=None):
+    """(weights, objective trace, iterations, stop reason) of the old loop."""
+    kp, kd = store.pair_dim, store.content_dim
+    mask = _full_mask(config, kp, kd)
+    z = penalty_weights(config.penalty)
+    z_flat = np.repeat(z, [kp, kd, kp, kd])
+    terms = build_corpus_terms(
+        cascades, store, users, config.post_decay_rate, config.comment_decay_rate
+    )
+
+    def objective(theta, order=0):
+        """Objective, or with order 2 (objective, gradient, Hessian)."""
+        value, grad, hess = log_likelihood_derivatives(
+            terms, theta, floor=1e-12, order=order
+        )
+        f = -value + float(z_flat @ theta)
+        return (f, z_flat - grad, -hess) if order else f
+
+    theta = np.where(mask, 0.01, 0.0)
+    f, g, h = objective(theta, 2)
+    trace = [f]
+    stop_reason = "iteration cap"
+    it = 0
+    for it in range(1, config.max_iterations + 1):
+        direction = newton_direction_orthant(theta, g, h, mask)
+        step = 1.0
+        while step > 1e-18:
+            cand = np.maximum(theta + step * direction, 0.0)
+            fc = objective(cand)
+            if fc <= f and f - fc >= 1e-4 * float(g @ (theta - cand)):
+                break
+            step *= 0.5
+        else:
+            stop_reason = "line search"
+            break
+        theta = cand
+        f_prev, f = f, fc
+        trace.append(f)
+        if on_iterate is not None:
+            on_iterate(theta.copy())
+        _, g, h = objective(theta, 2)
+        if (f_prev - f) <= config.tolerance * max(1.0, abs(f_prev)):
+            stop_reason = "tolerance"
+            break
+    return theta, trace, it, stop_reason
 
 
 @pytest.fixture(scope="session")

@@ -166,8 +166,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        FitConfig(step_shrink=1.5)
-    with pytest.raises(ValueError):
         FitConfig(cv_folds=1)
 
 

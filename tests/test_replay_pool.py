@@ -44,15 +44,19 @@ def test_pool_candidates_equal_a_full_scan(monkeypatch, policy):
             return super().rank(user, t, candidates)
 
     test = replay_half(200)
+    # windows close while the stream still runs
+    last = max(c.origin + c.comments[-1].time for c in test if c.comments)
+    assert sum(c.origin + c.window_end < last for c in test) > len(test) // 2
     ranker = ScanCheckingRanker()
     metrics = evaluate_group(ranker, test, policy=policy)
     assert ranker.steps == metrics.n_comments > 1000
     assert len(shadows) == len(test)
 
 
-def visits_per_comment(monkeypatch, n_cascades):
-    """Cascades the replay looks at per comment, keeping its pool and
-    finding the comment's candidates, and the group size."""
+def visits_per_comment(monkeypatch, n_cascades, policy):
+    """Cascades the replay looks at per comment, keeping its pool and, under
+    the "active" policy, filtering the comment's candidates from it; and
+    the group size.  Under "all" the pool is served as it is."""
     visited = []
     real = rank_eval.candidate_cascades
 
@@ -62,18 +66,22 @@ def visits_per_comment(monkeypatch, n_cascades):
 
     monkeypatch.setattr(rank_eval, "candidate_cascades", counting)
     test = replay_half(n_cascades)
-    metrics = evaluate_group(RecencyRanker(), test)
-    assert len(visited) > metrics.n_comments  # each comment, and the pool
+    metrics = evaluate_group(RecencyRanker(), test, policy=policy)
+    if policy == "active":
+        assert len(visited) > metrics.n_comments  # each comment, and the pool
+    else:
+        assert len(visited) < metrics.n_comments  # the pool alone
     return sum(visited) / metrics.n_comments, len(test)
 
 
 def test_replay_work_per_comment_does_not_grow_with_the_corpus(monkeypatch):
     # the same origin spacing and window, so the same density of open cascades
-    small, n_small = visits_per_comment(monkeypatch, 100)
-    large, n_large = visits_per_comment(monkeypatch, 400)
-    assert n_large == 4 * n_small
-    assert small < n_small / 2  # a scan would visit all of them
-    assert large < 1.25 * small
+    for policy in ("all", "active"):
+        small, n_small = visits_per_comment(monkeypatch, 100, policy)
+        large, n_large = visits_per_comment(monkeypatch, 400, policy)
+        assert n_large == 4 * n_small
+        assert small < n_small / 2  # a scan would visit all of them
+        assert large < 1.25 * small
 
 
 def tied_corpus(seed):

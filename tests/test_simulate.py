@@ -52,6 +52,29 @@ def test_same_seed_reproduces_the_corpus_bitwise():
             assert np.array_equal(x.content_features, y.content_features)
 
 
+def cascade_fields(c):
+    """Every field of a cascade and of its events, as plain values."""
+    return (c.cascade_id, c.origin, c.window_end, c.group_id, c.truncated, [
+        (e.time, e.publisher, e.content_features.tolist(), e.text) for e in c.events
+    ])
+
+
+def test_simulate_cascade_is_the_corpus_cascade():
+    config = random_sim_config(n_users=4, seed=9, n_cascades=6,
+                               origin_spacing=2.0, max_events=40)
+    corpus = simulate_corpus(config)
+    assert any(c.truncated for c in corpus) and any(c.comments for c in corpus)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(corpus) + 1)
+    for i, want in enumerate(corpus):
+        got = simulate_cascade(config, want.post, np.random.default_rng(seeds[i + 1]),
+                               origin=want.origin, cascade_id=want.cascade_id)
+        assert cascade_fields(got) == cascade_fields(want)
+    # without a generator it draws from the config's seed
+    post = corpus[0].post
+    assert cascade_fields(simulate_cascade(config, post)) == cascade_fields(
+        simulate_cascade(config, post, np.random.default_rng(config.seed)))
+
+
 def test_different_seeds_differ():
     a = simulate_corpus(random_sim_config(n_users=4, seed=1, n_cascades=8))
     b = simulate_corpus(random_sim_config(n_users=4, seed=2, n_cascades=8))
