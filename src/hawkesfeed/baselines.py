@@ -220,8 +220,9 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
 
     Separation would push weights to infinity, so they are boxed in
     [-weight_cap, weight_cap], with a warning when one reaches the cap.  A
-    fit stopped by its iteration cap or line search before its relative
-    rise fell to `COX_TOLERANCE` warns too.
+    feature constant inside every risk set leaves the likelihood flat, and
+    its weight stays 0.  A fit stopped by its iteration cap or line search
+    before its relative rise fell to `COX_TOLERANCE` warns too.
     """
     if feature_indices is None:
         feature_indices = np.arange(store.content_dim)
@@ -243,11 +244,13 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
         grad, hess = _cox_derivatives(w, design)
         return f, -grad, -hess
 
+    varies = np.any(np.maximum.reduceat(design.rows, design.starts)
+                    > np.minimum.reduceat(design.rows, design.starts), axis=0)
     w, _, _, stop_reason, g = _projected_newton(
         objective, np.zeros(feature_indices.size), -weight_cap, weight_cap,
-        max_iterations, COX_TOLERANCE)
+        max_iterations, COX_TOLERANCE, varies)
     if stop_reason != "tolerance":
-        norm = projected_gradient_norm(w, g, lower=-weight_cap, upper=weight_cap)
+        norm = projected_gradient_norm(w, g, varies, -weight_cap, weight_cap)
         warnings.warn(
             f"proportional-rates fit stopped short on its {stop_reason}, with "
             f"max_iterations={max_iterations} (projected-gradient norm {norm:.3g})",

@@ -88,9 +88,15 @@ def projected_gradient_norm(theta, grad, mask=True, lower=0.0, upper=np.inf):
 
 
 def _full_mask(config, pair_dim, content_dim):
-    pair, content = (
-        np.ones(n, bool) if m is None else np.asarray(m, bool)
-        for m, n in ((config.pair_mask, pair_dim), (config.content_mask, content_dim))
+    pair = (
+        np.ones(pair_dim, bool)
+        if config.pair_mask is None
+        else np.asarray(config.pair_mask, bool)
+    )
+    content = (
+        np.ones(content_dim, bool)
+        if config.content_mask is None
+        else np.asarray(config.content_mask, bool)
     )
     if pair.shape != (pair_dim,) or content.shape != (content_dim,):
         raise EstimationError("feature masks do not match the store manifests")
@@ -103,9 +109,10 @@ def _newton_direction(theta, grad, hess, lower, upper, mask):
     A coordinate is active when it sits within the epsilon band of the
     bound its gradient pushes it toward, or when its own Newton step would
     carry it past that bound; it then moves by that step, cut at the bound.
-    In `fit`, unloaded coordinates (zero curvature) always count as past
-    zero: their slope, the compensator plus the penalty, is never negative.
-    The rest take a Newton step on the free-set Hessian."""
+    A zero-curvature coordinate counts as past a finite bound.  In `fit`
+    its slope, the compensator plus the penalty, is never negative;
+    `fit_cox` masks out the coordinates its likelihood is flat in.  The
+    rest take a Newton step on the free-set Hessian."""
     curv = np.diag(hess)
     band = min(_ACTIVE_BAND, float(np.linalg.norm(
         np.where(mask, theta - np.clip(theta - grad, lower, upper), 0.0))))

@@ -180,6 +180,29 @@ def test_fit_cox_converges_in_a_few_newton_iterations():
                     activity_horizon=horizon)
 
 
+@pytest.mark.parametrize("fill", [0.0, 0.5])
+def test_fit_cox_leaves_a_feature_constant_in_every_risk_set_at_zero(fill):
+    # the likelihood is flat along such a weight; a bound would also reach
+    # every test cascade's score through rank_cox
+    store = content_store()
+    for corpus, horizon in corpora():
+        for c in corpus:
+            for e in c.events:
+                e.content_features[1] = fill
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = fit_cox(corpus, store, [0, 1, 2], activity_horizon=horizon)
+            without = fit_cox(corpus, store, FEATURES, activity_horizon=horizon)
+        assert params.weights[1] == 0.0
+        # the same optimum: the objective to rounding, the flat weights looser
+        loop = cox_design_loop(corpus, store, FEATURES, horizon)
+        value = cox_partial_log_likelihood_loop(params.weights[FEATURES], loop)
+        want = cox_partial_log_likelihood_loop(without.weights, loop)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        np.testing.assert_allclose(params.weights[FEATURES], without.weights,
+                                   rtol=1e-6)
+
+
 WORDS = sorted({w for ws in DEMO_LEXICON_WORDS.values() for w in ws}
                | {"the", "a", "post", "reply", "about", "this", "think", "agree"})
 
