@@ -1,18 +1,22 @@
-"""Reference rankers: recency, nearest profile, proportional rates, and a
-featureless pairwise excitation model.
+"""Fits and shared pieces of the reference rankers.
+
+Here live the two fitted baselines, the proportional-rates model (COX,
+`fit_cox`) and the featureless pairwise excitation model (HWK,
+`fit_hwk_em`), plus `order_candidates` and `cox_covariate`.  The rankers
+themselves, recency (RCHR), nearest profile (NN), COX and HWK, are the
+classes in `rank_eval`.
 
 All rankers produce a total order over whichever candidate cascades they
 are handed; ties are broken by most-recent event time (newest first) and
-then cascade id, the same policy the main model uses.  The pairwise
-model (HWK) is fitted here by EM; `PairwiseHawkesParams.as_feature_model`
-restates it as the feature model with its features taken out, so it is
-served on the feature model's streaming state.
+then cascade id, the same policy the main model uses.
+`PairwiseHawkesParams.as_feature_model` restates HWK as the feature model
+with its features taken out, so it is served on the feature model's
+streaming state.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, comment_stream
 from .errors import EstimationError
 from .features import FeatureStore
 from .fit import _projected_newton, projected_gradient_norm
@@ -49,60 +53,6 @@ def order_candidates(cascades, scores, t):
         sc[1].cascade_id,
     ))
     return [c for _, c in rows]
-
-
-def rank_rchr(cascades, t):
-    """Most recently active first, among events strictly before t, then by
-    id; each cascade's recency is read once."""
-    rows = []
-    for i, c in enumerate(cascades):
-        last = c.last_event_global(before=t)
-        # the position i is unique, so sorting never compares cascades
-        rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
-    rows.sort()
-    return [row[3] for row in rows]
-
-
-# ---------------------------------------------------------------- nearest profile
-
-EWMA_SMOOTHING = 0.3
-
-
-def update_profile(profile, vector, smoothing=EWMA_SMOOTHING):
-    """One moving-average step; the newest observation carries `smoothing`."""
-    if profile is None:
-        return np.asarray(vector, dtype=float).copy()
-    return (1.0 - smoothing) * profile + smoothing * np.asarray(vector, dtype=float)
-
-
-def cascade_representative(cascade, t, store, user=None, with_pairs=False):
-    """Mean content of the cascade's events strictly before relative time
-    t - origin; optionally prefixed with the (user, post publisher) pair
-    vector for the all-features variant."""
-    local_t = t - cascade.origin
-    vectors = [
-        store.event_content(cascade.cascade_id, idx, e)
-        for idx, e in enumerate(cascade.events)
-        if e.time < local_t
-    ]
-    content = (
-        np.mean(vectors, axis=0) if vectors else np.zeros(store.content_dim)
-    )
-    if not with_pairs:
-        return content
-    return np.concatenate([store.pair_vector(user, cascade.post.publisher), content])
-
-
-def rank_nn(user, cascades, t, store, profile, with_pairs=False):
-    """Ascending distance between the user's comment profile and each
-    cascade representative; falls back to recency when no profile exists."""
-    if profile is None:
-        return rank_rchr(cascades, t)
-    scores = []
-    for c in cascades:
-        rep = cascade_representative(c, t, store, user=user, with_pairs=with_pairs)
-        scores.append(-float(np.linalg.norm(profile - rep)))
-    return order_candidates(cascades, scores, t)
 
 
 # ------------------------------------------------------- proportional rates (Cox)
@@ -159,12 +109,10 @@ def _cox_design(cascades, store, feature_indices, activity_horizon):
     risk sets' covariate rows stacked comment by comment, in corpus order
     within a risk set, with each risk set's start and target row.
     """
-    steps = sorted(
-        (c.origin + e.time, c.cascade_id) for c in cascades for e in c.comments
-    )
     rows, starts, segment, targets = [], [], [], []
-    for i, (t, target_id) in enumerate(steps):
+    for i, (t, target, _, _) in enumerate(comment_stream(cascades)):
         starts.append(len(rows))
+        target_id = target.cascade_id
         for c in cascades:
             if c.cascade_id == target_id:
                 targets.append(len(rows))
@@ -214,12 +162,12 @@ def _cox_derivatives(weights, design):
 
 
 def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
-            weight_cap=WEIGHT_CAP, activity_horizon=ACTIVITY_HORIZON):
+            activity_horizon=ACTIVITY_HORIZON):
     """Maximize the concave partial likelihood from zero weights with
     `fit`'s projected-Newton core, on `_cox_design`'s stacked risk sets.
 
     Separation would push weights to infinity, so they are boxed in
-    [-weight_cap, weight_cap], with a warning when one reaches the cap.  A
+    [-WEIGHT_CAP, WEIGHT_CAP], with a warning when one reaches the cap.  A
     feature constant inside every risk set leaves the likelihood flat, and
     its weight stays 0.  A fit stopped by its iteration cap or line search
     before its relative rise fell to `COX_TOLERANCE` warns too.
@@ -247,16 +195,16 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
     varies = np.any(np.maximum.reduceat(design.rows, design.starts)
                     > np.minimum.reduceat(design.rows, design.starts), axis=0)
     w, _, _, stop_reason, g = _projected_newton(
-        objective, np.zeros(feature_indices.size), -weight_cap, weight_cap,
+        objective, np.zeros(feature_indices.size), -WEIGHT_CAP, WEIGHT_CAP,
         max_iterations, COX_TOLERANCE, varies)
     if stop_reason != "tolerance":
-        norm = projected_gradient_norm(w, g, varies, -weight_cap, weight_cap)
+        norm = projected_gradient_norm(w, g, varies, -WEIGHT_CAP, WEIGHT_CAP)
         warnings.warn(
             f"proportional-rates fit stopped short on its {stop_reason}, with "
             f"max_iterations={max_iterations} (projected-gradient norm {norm:.3g})",
             stacklevel=2,
         )
-    if np.any(np.abs(w) >= weight_cap - 1e-9):
+    if np.any(np.abs(w) >= WEIGHT_CAP - 1e-9):
         warnings.warn(
             "proportional-rates weights hit the cap; the data separate the "
             "commented cascades perfectly",
@@ -264,15 +212,6 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
         )
     names = [store.content_names[i] for i in feature_indices]
     return CoxParams(weights=w, feature_names=names, feature_indices=feature_indices)
-
-
-def rank_cox(params, cascades, t, store):
-    """Descending linear score of the freshest content; user-independent."""
-    scores = [
-        float(params.weights @ cox_covariate(c, t, store, params.feature_indices))
-        for c in cascades
-    ]
-    return order_candidates(cascades, scores, t)
 
 
 # ------------------------------------------- featureless pairwise excitation (EM)

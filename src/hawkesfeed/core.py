@@ -76,7 +76,8 @@ class Event:
         if not math.isfinite(self.time) or self.time < 0:
             raise ValueError(f"event time must be finite and >= 0, got {self.time}")
         cf = self.content_features
-        if cf.size and (cf.min() < 0.0 or cf.max() > 1.0):
+        # written so that a NaN, which fails every comparison, is refused too
+        if cf.size and not (cf.min() >= 0.0 and cf.max() <= 1.0):
             raise ValueError("content features must lie in [0, 1]; normalize first")
 
 
@@ -102,6 +103,8 @@ class Cascade:
             raise ValueError(f"cascade {self.cascade_id}: post must sit at time 0")
         if not self.window_end > 0:
             raise ValueError(f"cascade {self.cascade_id}: window_end must be positive")
+        if not math.isfinite(self.origin):
+            raise ValueError(f"cascade {self.cascade_id}: origin must be finite")
         prev = 0.0
         for c in self.comments:
             if c.time <= prev:
@@ -167,6 +170,15 @@ def corpus_participants(cascades):
     return sorted(users)
 
 
+def comment_stream(cascades):
+    """Every comment as (global minute, cascade, comment index, event),
+    ordered by time, then cascade id, then index."""
+    rows = [(c.origin + e.time, c, i, e)
+            for c in cascades for i, e in enumerate(c.comments)]
+    rows.sort(key=lambda r: (r[0], r[1].cascade_id, r[2]))
+    return rows
+
+
 @dataclass(eq=False)
 class ModelParams:
     """Nonnegative feature weights plus the two per-minute decay rates.
@@ -198,10 +210,11 @@ class ModelParams:
         for name in ("post_pair_weights", "post_content_weights",
                      "comment_pair_weights", "comment_content_weights"):
             w = getattr(self, name)
-            if w.size and w.min() < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if not (self.post_decay_rate > 0 and self.comment_decay_rate > 0):
-            raise ConfigError("decay rates must be positive")
+            if w.size and not (w.min() >= 0 and w.max() < math.inf):
+                raise ConfigError(f"{name} must be finite and nonnegative")
+        for rate in (self.post_decay_rate, self.comment_decay_rate):
+            if not (rate > 0 and math.isfinite(rate)):
+                raise ConfigError("decay rates must be positive and finite")
         if not self.pair_feature_names:
             self.pair_feature_names = [f"pair_{i}" for i in range(self.post_pair_weights.size)]
         if not self.content_feature_names:

@@ -56,6 +56,9 @@ def _number(record, key, line=None, where="record", default=None):
 
 
 def _wall_clock_minutes(text, line=None):
+    if not isinstance(text, str):
+        raise DataFormatError(f"wall_clock {text!r} is not an ISO-8601 string",
+                              line=line)
     try:
         stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -128,10 +131,17 @@ def _read_event(raw, line):
 
 
 def read_corpus(path):
-    """Cascades from a JSON-lines file, one per line, in file order."""
-    cascades = []
+    """Cascades from a JSON-lines file, one per line, in file order; a
+    cascade id may appear only once."""
+    cascades, lines = [], {}
     for n, record in _json_lines(path):
         cascade_id = _require(record, "cascade_id", str, line=n)
+        if cascade_id in lines:
+            raise DataFormatError(
+                f"cascade id {cascade_id!r} already used on line {lines[cascade_id]}",
+                line=n,
+            )
+        lines[cascade_id] = n
         group_id = record.get("group_id", "default")
         if not isinstance(group_id, str):
             raise DataFormatError("'group_id' must be a string", line=n)
@@ -296,7 +306,7 @@ def read_model(path):
             pair_feature_names=record.get("pair_feature_names", []),
             content_feature_names=record.get("content_feature_names", []),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConfigError) as exc:
         raise DataFormatError(f"{where}: {exc}")
 
 

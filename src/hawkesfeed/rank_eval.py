@@ -5,6 +5,10 @@ A ranker is anything with two methods:
     rank(user, t, candidates) -> the same candidate objects, in serving order
     absorb(cascade, event, t) -> None   (event already appended to cascade)
 
+Every ranker is written here once: `IntensityRanker` (the feature model,
+HWK-*), `PairwiseRanker` (HWK), `RecencyRanker` (RCHR), `NNRanker` (NN)
+and `CoxRanker` (COX-*); `baselines` holds the COX and HWK fits.
+
 The harness replays a test corpus one comment at a time: rank the user's
 candidate cascades just before the comment lands, record the 0-based
 position of the cascade it actually landed in, then let every ranker
@@ -19,17 +23,16 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .baselines import (
     ACTIVITY_HORIZON,
+    cox_covariate,
     fit_cox,
     fit_hwk_em,
     order_candidates,
-    rank_cox,
-    rank_nn,
-    rank_rchr,
-    update_profile,
 )
-from .core import Cascade, JumpTable, corpus_participants
+from .core import Cascade, JumpTable, comment_stream, corpus_participants
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
 from .fit import FitConfig, fit
@@ -167,40 +170,84 @@ class IntensityRanker:
 
 
 class RecencyRanker:
+    """Most recently active first, among events strictly before t, then by
+    id; each cascade's recency is read once."""
+
     def rank(self, user, t, candidates):
-        return rank_rchr(candidates, t)
+        rows = []
+        for i, c in enumerate(candidates):
+            last = c.last_event_global(before=t)
+            # the position i is unique, so sorting never compares cascades
+            rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
+        rows.sort()
+        return [row[3] for row in rows]
 
     def absorb(self, cascade, event, t):
         pass
 
 
-class NNRanker:
-    """Nearest-profile ranker; profiles update as test comments arrive."""
+EWMA_SMOOTHING = 0.3  # the weight of the newest comment in a profile
 
-    def __init__(self, store, profiles=None, with_pairs=False):
+
+class NNRanker(RecencyRanker):
+    """Nearest profile: ascending distance between the user's comment
+    profile and each cascade's mean content before t; recency for a user
+    with no profile.
+
+    A profile is a moving average of the user's comment contents.  It
+    starts from the training comments in global time order and learns
+    every absorbed comment.
+    """
+
+    def __init__(self, store, train_cascades=()):
         self.store = store
-        self.profiles = dict(profiles or {})
-        self.with_pairs = with_pairs
+        self.profiles = {}
+        for _, c, i, e in comment_stream(train_cascades):
+            self._learn(c.cascade_id, i + 1, e)
+
+    def _learn(self, cascade_id, idx, event):
+        """One moving-average step with the content of event `idx` (0 is
+        the post) of the cascade."""
+        v = np.asarray(self.store.event_content(cascade_id, idx, event), dtype=float)
+        profile = self.profiles.get(event.publisher)
+        self.profiles[event.publisher] = v.copy() if profile is None else (
+            (1.0 - EWMA_SMOOTHING) * profile + EWMA_SMOOTHING * v)
+
+    def representative(self, cascade, t):
+        """Mean content of the cascade's events strictly before global minute t."""
+        local_t = t - cascade.origin
+        vectors = [
+            self.store.event_content(cascade.cascade_id, idx, e)
+            for idx, e in enumerate(cascade.events)
+            if e.time < local_t
+        ]
+        return np.mean(vectors, axis=0) if vectors else np.zeros(self.store.content_dim)
 
     def rank(self, user, t, candidates):
-        return rank_nn(
-            user, candidates, t, self.store,
-            self.profiles.get(user), with_pairs=self.with_pairs,
-        )
+        profile = self.profiles.get(user)
+        if profile is None:
+            return super().rank(user, t, candidates)
+        scores = [-float(np.linalg.norm(profile - self.representative(c, t)))
+                  for c in candidates]
+        return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
-        u = event.publisher
-        v = self.store.event_content(cascade.cascade_id, len(cascade.comments), event)
-        self.profiles[u] = update_profile(self.profiles.get(u), v)
+        self._learn(cascade.cascade_id, len(cascade.comments), event)
 
 
 class CoxRanker:
+    """Descending linear score of each cascade's freshest content before t;
+    user-independent."""
+
     def __init__(self, params, store):
         self.params = params
         self.store = store
 
     def rank(self, user, t, candidates):
-        return rank_cox(self.params, candidates, t, self.store)
+        w, indices = self.params.weights, self.params.feature_indices
+        scores = [float(w @ cox_covariate(c, t, self.store, indices))
+                  for c in candidates]
+        return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
         pass
@@ -214,20 +261,6 @@ class PairwiseRanker(IntensityRanker):
         super().__init__(*params.as_feature_model())
 
 
-def comment_profiles(cascades, store):
-    """EWMA content profile per user from a corpus, in global time order."""
-    rows = []
-    for c in cascades:
-        for i, e in enumerate(c.comments):
-            rows.append((c.origin + e.time, c.cascade_id, i, e))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    profiles = {}
-    for _, cid, i, e in rows:
-        v = store.event_content(cid, i + 1, e)
-        profiles[e.publisher] = update_profile(profiles.get(e.publisher), v)
-    return profiles
-
-
 def make_ranker(name, train_cascades, store=None, fit_config=None,
                 model_params=None):
     """Build and (when needed) fit the named ranker on a training group."""
@@ -237,7 +270,7 @@ def make_ranker(name, train_cascades, store=None, fit_config=None,
     if name == "NN":
         if store is None:
             raise ConfigError("NN needs a feature store")
-        return NNRanker(store, comment_profiles(train_cascades, store))
+        return NNRanker(store, train_cascades)
     if name.startswith("COX-"):
         if store is None:
             raise ConfigError(f"{name} needs a feature store")
@@ -314,13 +347,9 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
     the stream advances, so the work per comment does not grow with the
     number of cascades in the group.  Under "all" the pool itself is served.
     """
-    stream = []
-    for c in test_cascades:
-        for i, e in enumerate(c.comments):
-            stream.append((c.origin + e.time, c.cascade_id, i, e))
+    stream = comment_stream(test_cascades)
     if not stream:
         raise ConfigError(f"group {group_id!r} has no test comments to rank")
-    stream.sort(key=lambda r: (r[0], r[1], r[2]))
 
     shadows = {c.cascade_id: _shadow(c) for c in test_cascades}
     ordered_shadows = sorted(shadows.values(), key=lambda c: (c.origin, c.cascade_id))
@@ -343,21 +372,21 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
         if admitted > start or t >= closes:
             live = candidate_cascades(live + ordered_shadows[start:admitted], t)
             closes = min((c.origin + c.window_end for c in live), default=math.inf)
-        for _, cid, _, e in batch:
+        for _, c, _, e in batch:
             candidates = live if policy == "all" else candidate_cascades(
                 live, t, policy, activity_horizon)
             # candidates and the served order hold the shadow objects
             # themselves, so the target is found by identity
-            target = shadows[cid]
+            target = shadows[c.cascade_id]
             if target not in candidates:
                 raise ConfigError(
-                    f"cascade {cid!r} fell out of the candidate set at t={t}; "
-                    f"the {policy!r} policy cannot score this corpus"
+                    f"cascade {c.cascade_id!r} fell out of the candidate set at "
+                    f"t={t}; the {policy!r} policy cannot score this corpus"
                 )
             served = ranker.rank(e.publisher, t, candidates)
             trace.append(served.index(target))
-        for _, cid, _, e in batch:
-            shadow = shadows[cid]
+        for _, c, _, e in batch:
+            shadow = shadows[c.cascade_id]
             shadow.comments.append(e)
             ranker.absorb(shadow, e, t)
         i = j

@@ -23,6 +23,9 @@ from .core import Cascade, Event, JumpTable, ModelParams
 from .errors import ConfigError
 from .features import FeatureStore
 
+# random comment weights are shrunk to keep the branching ratio below this
+MAX_RATIO = 0.85
+
 
 @dataclass(eq=False)
 class SimConfig:
@@ -63,7 +66,10 @@ def _jumps_and_ratio(config):
     content_part = jumps.max_comment_score
     worst = 0.0
     for column in pair_jumps.T.tolist():
-        worst = max(worst, sum(j + content_part for j in column))
+        total = 0.0
+        for j in column:  # left to right: from Python 3.12 `sum` compensates
+            total += j + content_part
+        worst = max(worst, total)
     return jumps, pair_jumps, worst / config.params.comment_decay_rate
 
 
@@ -187,13 +193,12 @@ def random_sim_config(
     post_decay_rate=0.1,
     comment_decay_rate=6.0,
     weight_scale=0.3,
-    max_ratio=0.85,
     **overrides,
 ):
     """Random direct-pair store plus weights scaled to stay subcritical.
 
     Random comment weights are rescaled whenever their worst-case
-    branching ratio would reach `max_ratio`, so any seed and population
+    branching ratio would reach `MAX_RATIO`, so any seed and population
     size yields finite cascades.  Explicitly passed `params` are taken as
     is and refused if supercritical.  The default decay rates are much
     faster than the serving defaults so short windows still produce busy
@@ -225,13 +230,13 @@ def random_sim_config(
     config = SimConfig(users=users, store=store, params=params,
                        horizon=horizon, seed=seed, **overrides)
     ratio = branching_ratio(config)
-    if ratio >= max_ratio:
+    if ratio >= MAX_RATIO:
         if explicit:
             raise ConfigError(
                 f"configuration is supercritical or nearly so "
-                f"(branching ratio {ratio:.3f} >= {max_ratio})"
+                f"(branching ratio {ratio:.3f} >= {MAX_RATIO})"
             )
-        shrink = max_ratio / ratio
+        shrink = MAX_RATIO / ratio
         config.params = replace(
             params,
             comment_pair_weights=params.comment_pair_weights * shrink,

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hawkesfeed.baselines import ACTIVITY_HORIZON, WEIGHT_CAP, CoxParams
+from hawkesfeed.baselines import (
+    ACTIVITY_HORIZON,
+    WEIGHT_CAP,
+    CoxParams,
+    cox_covariate,
+    order_candidates,
+)
 from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
 from hawkesfeed.errors import ConfigError, EstimationError
 from hawkesfeed.features import FeatureStore, build_feature_store
@@ -395,6 +401,88 @@ def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
         )
     names = [store.content_names[i] for i in feature_indices]
     return CoxParams(weights=w, feature_names=names, feature_indices=feature_indices)
+
+
+# The recency, nearest-profile and proportional-rates rankers as they were
+# before `RecencyRanker`, `NNRanker` and `CoxRanker` did their own scoring:
+# module functions the classes forwarded to, plus the training-profile
+# builder.  Kept verbatim, with the profile constant, as the oracle for
+# the classes' orders and profiles.
+
+
+def rank_rchr(cascades, t):
+    """Most recently active first, among events strictly before t, then by
+    id; each cascade's recency is read once."""
+    rows = []
+    for i, c in enumerate(cascades):
+        last = c.last_event_global(before=t)
+        # the position i is unique, so sorting never compares cascades
+        rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
+    rows.sort()
+    return [row[3] for row in rows]
+
+
+EWMA_SMOOTHING = 0.3
+
+
+def update_profile(profile, vector, smoothing=EWMA_SMOOTHING):
+    """One moving-average step; the newest observation carries `smoothing`."""
+    if profile is None:
+        return np.asarray(vector, dtype=float).copy()
+    return (1.0 - smoothing) * profile + smoothing * np.asarray(vector, dtype=float)
+
+
+def cascade_representative(cascade, t, store, user=None, with_pairs=False):
+    """Mean content of the cascade's events strictly before relative time
+    t - origin; optionally prefixed with the (user, post publisher) pair
+    vector for the all-features variant."""
+    local_t = t - cascade.origin
+    vectors = [
+        store.event_content(cascade.cascade_id, idx, e)
+        for idx, e in enumerate(cascade.events)
+        if e.time < local_t
+    ]
+    content = (
+        np.mean(vectors, axis=0) if vectors else np.zeros(store.content_dim)
+    )
+    if not with_pairs:
+        return content
+    return np.concatenate([store.pair_vector(user, cascade.post.publisher), content])
+
+
+def rank_nn(user, cascades, t, store, profile, with_pairs=False):
+    """Ascending distance between the user's comment profile and each
+    cascade representative; falls back to recency when no profile exists."""
+    if profile is None:
+        return rank_rchr(cascades, t)
+    scores = []
+    for c in cascades:
+        rep = cascade_representative(c, t, store, user=user, with_pairs=with_pairs)
+        scores.append(-float(np.linalg.norm(profile - rep)))
+    return order_candidates(cascades, scores, t)
+
+
+def rank_cox(params, cascades, t, store):
+    """Descending linear score of the freshest content; user-independent."""
+    scores = [
+        float(params.weights @ cox_covariate(c, t, store, params.feature_indices))
+        for c in cascades
+    ]
+    return order_candidates(cascades, scores, t)
+
+
+def comment_profiles(cascades, store):
+    """EWMA content profile per user from a corpus, in global time order."""
+    rows = []
+    for c in cascades:
+        for i, e in enumerate(c.comments):
+            rows.append((c.origin + e.time, c.cascade_id, i, e))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    profiles = {}
+    for _, cid, i, e in rows:
+        v = store.event_content(cid, i + 1, e)
+        profiles[e.publisher] = update_profile(profiles.get(e.publisher), v)
+    return profiles
 
 
 # The feature-model fit as it was before its loop became the shared

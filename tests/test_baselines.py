@@ -7,7 +7,6 @@ import pytest
 from hawkesfeed.baselines import (
     CoxParams,
     _recency_key,
-    cascade_representative,
     cox_covariate,
     cox_partial_log_likelihood,
     _cox_design,
@@ -15,18 +14,14 @@ from hawkesfeed.baselines import (
     fit_hwk_em,
     hwk_log_likelihood,
     order_candidates,
-    rank_cox,
-    rank_nn,
-    rank_rchr,
-    update_profile,
 )
 from hawkesfeed.baselines import PairwiseHawkesParams
 from hawkesfeed.core import intensity
 from hawkesfeed.errors import EstimationError
 from hawkesfeed.features import FeatureStore
-from hawkesfeed.rank_eval import PairwiseRanker
+from hawkesfeed.rank_eval import CoxRanker, NNRanker, PairwiseRanker, RecencyRanker
 
-from conftest import direct_store, hwk_intensity, make_cascade, random_corpus
+from conftest import hwk_intensity, make_cascade, random_corpus
 
 
 def content_store(dim=1):
@@ -39,6 +34,11 @@ def ids(cascades):
     return [c.cascade_id for c in cascades]
 
 
+def rchr(cascades, t):
+    """RCHR's served order; recency ignores the user."""
+    return RecencyRanker().rank("ana", t, cascades)
+
+
 # -------------------------------------------------------------------- recency
 
 
@@ -48,24 +48,24 @@ def test_rchr_orders_by_last_event_before_t():
     c = make_cascade([], cascade_id="C", origin=4.0)
     d = make_cascade([], cascade_id="D", origin=100.0)
     # last events before t=10 sit at 5, 8, 4 and nowhere
-    assert ids(rank_rchr([a, b, c, d], 10.0)) == ["B", "A", "C", "D"]
+    assert ids(rchr([a, b, c, d], 10.0)) == ["B", "A", "C", "D"]
 
 
 def test_rchr_ignores_events_at_or_after_t():
     b = make_cascade([(1.0, "cy"), (6.0, "di")], cascade_id="B", origin=2.0)
     a = make_cascade([(5.0, "bo")], cascade_id="A", origin=0.0)
     # B's second comment lands exactly at t=8 and must not count
-    assert ids(rank_rchr([a, b], 8.0)) == ["A", "B"]
+    assert ids(rchr([a, b], 8.0)) == ["A", "B"]
 
 
 def test_rchr_breaks_exact_ties_by_id():
     a = make_cascade([(8.0, "bo")], cascade_id="A", origin=0.0)
     b = make_cascade([(6.0, "cy")], cascade_id="B", origin=2.0)
-    assert ids(rank_rchr([b, a], 10.0)) == ["A", "B"]
+    assert ids(rchr([b, a], 10.0)) == ["A", "B"]
 
 
 def rchr_by_sort_key(cascades, t):
-    """`rank_rchr` as it was: one `sorted` over a per-call recency key."""
+    """Recency as it once was: one `sorted` over a per-call recency key."""
     return sorted(cascades, key=lambda c: (-_recency_key(c, t), c.cascade_id))
 
 
@@ -82,7 +82,7 @@ def test_rchr_equals_the_sort_key_order():
                                          cascade_id=f"k{i}", origin=origin))
         events = sorted({c.origin + e.time for c in cascades for e in c.events})
         for t in [*events, *(x - 0.5 for x in events), events[-1] + 1.0]:
-            assert rank_rchr(cascades, t) == rchr_by_sort_key(cascades, t)
+            assert rchr(cascades, t) == rchr_by_sort_key(cascades, t)
             keys = [_recency_key(c, t) for c in cascades]
             ties += len(set(keys)) < len(keys)
             late += any(c.comments and c.origin + c.comments[-1].time >= t
@@ -104,51 +104,50 @@ def test_order_candidates_score_then_recency_then_id():
 
 
 def test_update_profile_moving_average_hand_values():
-    p = update_profile(None, np.array([1.0, 0.0]))
-    assert p.tolist() == [1.0, 0.0]
-    p = update_profile(p, np.array([0.0, 1.0]), smoothing=0.3)
-    assert p == pytest.approx([0.7, 0.3])
-    p = update_profile(p, np.array([1.0, 1.0]), smoothing=0.3)
-    assert p == pytest.approx([0.79, 0.51])
+    ranker = NNRanker(content_store(2))
+    c = make_cascade([(1.0, "bo", [1.0, 0.0]), (2.0, "bo", [0.0, 1.0]),
+                      (3.0, "bo", [1.0, 1.0])], cascade_id="A", content_dim=2)
+    shadow = make_cascade([], cascade_id="A", content_dim=2)
+    profiles = []
+    for e in c.comments:
+        shadow.comments.append(e)
+        ranker.absorb(shadow, e, e.time)
+        profiles.append(ranker.profiles["bo"])
+    assert profiles[0].tolist() == [1.0, 0.0]
+    assert profiles[1] == pytest.approx([0.7, 0.3])
+    assert profiles[2] == pytest.approx([0.79, 0.51])
+    # a profile is its own array, never the event's content
+    assert profiles[0] is not c.comments[0].content_features
 
 
 def test_cascade_representative_means_prior_content():
-    store = content_store(2)
+    ranker = NNRanker(content_store(2))
     c = make_cascade([(1.0, "bo", [0.0, 0.0]), (2.0, "cy", [1.0, 1.0]),
                       (9.0, "di", [1.0, 0.0])],
                      cascade_id="A", post_content=[0.2, 0.4], content_dim=2)
-    rep = cascade_representative(c, 3.0, store)
+    rep = ranker.representative(c, 3.0)
     assert rep == pytest.approx([0.4, 0.4666666666666667])
-    assert cascade_representative(c, 0.0, store).tolist() == [0.0, 0.0]
-
-
-def test_cascade_representative_with_pair_prefix():
-    store = direct_store()
-    c = make_cascade([(1.0, "bo", [0.0, 1.0])], cascade_id="A")
-    rep = cascade_representative(c, 5.0, store, user="cy", with_pairs=True)
-    assert rep.size == 5
-    assert np.array_equal(rep[:3], store.pair_vector("cy", "ana"))
-    assert rep[3:] == pytest.approx([0.25, 0.75])  # mean of post and comment
+    assert ranker.representative(c, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_nn_ranks_by_profile_distance():
-    store = content_store(2)
+    ranker = NNRanker(content_store(2))
     a = make_cascade([(1.0, "bo", [0.0, 0.0]), (2.0, "cy", [1.0, 1.0])],
                      cascade_id="A", post_content=[0.5, 0.5], content_dim=2)
     b = make_cascade([(1.0, "di", [1.0, 0.0])],
                      cascade_id="B", post_content=[1.0, 0.0], content_dim=2)
-    profile = np.array([0.4, 0.4])
+    ranker.profiles["ana"] = np.array([0.4, 0.4])
     # representatives at t=5: A -> [0.5, 0.5], B -> [1.0, 0.0]
-    assert ids(rank_nn("ana", [b, a], 5.0, store, profile)) == ["A", "B"]
-    closer = np.array([1.0, 0.0])
-    assert ids(rank_nn("ana", [b, a], 5.0, store, closer)) == ["B", "A"]
+    assert ids(ranker.rank("ana", 5.0, [b, a])) == ["A", "B"]
+    ranker.profiles["ana"] = np.array([1.0, 0.0])
+    assert ids(ranker.rank("ana", 5.0, [b, a])) == ["B", "A"]
 
 
 def test_nn_without_profile_falls_back_to_recency():
-    store = content_store(2)
+    ranker = NNRanker(content_store(2))
     a = make_cascade([(5.0, "bo")], cascade_id="A")
     b = make_cascade([(7.0, "cy")], cascade_id="B")
-    assert ids(rank_nn("ana", [a, b], 10.0, store, None)) == ["B", "A"]
+    assert ids(ranker.rank("ana", 10.0, [a, b])) == ["B", "A"]
 
 
 # ---------------------------------------------------------- proportional rates
@@ -250,10 +249,10 @@ def test_rank_cox_orders_by_linear_score():
     params = CoxParams(weights=np.array([2.0]), feature_names=["c0"],
                        feature_indices=np.array([0]))
     # freshest contents at t=5: A -> 0.8, B -> 0.1, C -> 0.5
-    assert ids(rank_cox(params, corpus, 5.0, store)) == ["A", "C", "B"]
+    assert ids(CoxRanker(params, store).rank("ana", 5.0, corpus)) == ["A", "C", "B"]
     flipped = CoxParams(weights=np.array([-2.0]), feature_names=["c0"],
                         feature_indices=np.array([0]))
-    assert ids(rank_cox(flipped, corpus, 5.0, store)) == ["B", "C", "A"]
+    assert ids(CoxRanker(flipped, store).rank("ana", 5.0, corpus)) == ["B", "C", "A"]
 
 
 # ------------------------------------------------- pairwise excitation via EM

@@ -131,6 +131,43 @@ def test_malformed_cascade_records_are_rejected(tmp_path, record):
         io.read_corpus(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"cascade_id": "c1", "origin": float("nan"),
+     "events": [{"t": 0.0, "publisher": "ana"}]},
+    {"cascade_id": "c1", "origin": float("inf"),
+     "events": [{"t": 0.0, "publisher": "ana"}]},
+    {"cascade_id": "c1",
+     "events": [{"t": 0.0, "publisher": "ana", "content_features": [0.5, 0.5]},
+                {"t": 1.0, "publisher": "bo",
+                 "content_features": [0.5, float("nan")]}]},
+    {"cascade_id": "c1",
+     "events": [{"t": 0.0, "publisher": "ana", "wall_clock": 1700000000}]},
+])
+def test_non_finite_or_mistyped_values_are_refused_with_their_line(tmp_path, record):
+    # Python's json reads NaN and Infinity; a wall clock must be a string
+    path = tmp_path / "corpus.jsonl"
+    good = {"cascade_id": "c0", "events": [{"t": 0.0, "publisher": "ana"}]}
+    write_lines(path, [good, record])
+    with pytest.raises(DataFormatError) as err:
+        io.read_corpus(path)
+    assert err.value.line == 2
+
+
+def test_cli_refuses_a_repeated_cascade_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    events = [{"t": 0.0, "publisher": "ana", "text": "a happy post"},
+              {"t": 1.0, "publisher": "bo", "text": "a sad reply"}]
+    write_lines(corpus, [{"cascade_id": c, "window_end": 30.0, "events": events}
+                         for c in ("a", "b", "a")])
+    assert main(["extract-features", str(corpus),
+                 "--out", str(tmp_path / "store.json")]) == 3
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'a'" in err and "line 1" in err
+    assert main(["evaluate", "RCHR", "--train", str(corpus), "--test", str(corpus),
+                 "--out", str(tmp_path / "report.jsonl")]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_parse_errors_carry_the_line_number(tmp_path):
     path = tmp_path / "corpus.jsonl"
     good = json.dumps({"cascade_id": "c0", "window_end": 30.0,
@@ -191,6 +228,25 @@ def test_model_round_trip_is_bitwise(tmp_path):
     record = json.loads(path.read_text())
     assert record["format_version"] == io.FORMAT_VERSION
     assert record["diagnostics"] == {"iterations": 12}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("post_pair_weights", float("nan")),
+    ("comment_content_weights", float("inf")),
+    ("comment_decay_rate", float("inf")),
+    ("post_decay_rate", float("nan")),
+])
+def test_model_with_non_finite_values_is_refused(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    io.write_model(path, make_params(seed=9))
+    record = json.loads(path.read_text())
+    if isinstance(record[field], list):
+        record[field][0] = value
+    else:
+        record[field] = value
+    path.write_text(json.dumps(record))
+    with pytest.raises(DataFormatError, match=field.split("_")[-1]):
+        io.read_model(path)
 
 
 # ------------------------------------------------------------- feature store

@@ -12,7 +12,6 @@ from hawkesfeed.rank_eval import (
     PairwiseRanker,
     RecencyRanker,
     candidate_cascades,
-    comment_profiles,
     evaluate,
     evaluate_group,
     make_ranker,
@@ -467,7 +466,7 @@ def test_comment_profiles_follow_global_time_order():
     store = direct_store()
     early = make_cascade([(5.0, "bo", [1.0, 0.0])], cascade_id="B", origin=0.0)
     late = make_cascade([(1.0, "bo", [0.0, 1.0])], cascade_id="A", origin=10.0)
-    profiles = comment_profiles([late, early], store)
+    profiles = NNRanker(store, [late, early]).profiles
     assert profiles["bo"] == pytest.approx([0.7, 0.3])
 
 
