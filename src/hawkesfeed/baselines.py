@@ -308,28 +308,6 @@ class _PairDesign:
         return float(np.log(lam).sum() - self.exposure @ theta)
 
 
-def hwk_log_likelihood(cascades, params):
-    """Full log-likelihood; the population is every user holding a rate."""
-    pd, cd = params.post_decay_rate, params.comment_decay_rate
-    links = comment_links(cascades, pd, cd)
-    design = _PairDesign(links)
-    theta = np.array(
-        [params.post_rates.get(k, 0.0) for k in design.post_keys]
-        + [params.comment_rates.get(k, 0.0) for k in design.comment_keys]
-    )
-    value = design.log_likelihood(design.intensities(theta), theta)
-    # rates on pairs the corpus never links still pay their publisher's exposure
-    index = {name: i for i, name in enumerate(links.names)}
-    for rates, keys, exposure in zip((params.post_rates, params.comment_rates),
-                                     (design.post_keys, design.comment_keys),
-                                     links.exposures()):
-        linked = set(keys)
-        for (u, p), v in rates.items():
-            if (u, p) not in linked and p in index:
-                value -= v * exposure[index[p]]
-    return float(value)
-
-
 def fit_hwk_em(cascades, post_decay_rate=0.001, comment_decay_rate=0.01,
                max_iterations=200, tolerance=1e-8, initial_rate=0.1):
     """Expectation-maximization over latent parent assignments.

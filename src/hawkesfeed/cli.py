@@ -1,7 +1,14 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 usage, 3 unreadable or malformed input files,
-4 bad configuration, 5 estimation failures.
+Exit codes: 0 success, 2 usage, 3 an input file that cannot be read or
+holds any value its reader refuses, 4 bad configuration (well-formed inputs
+that do not fit together or with the options), 5 estimation failures.
+The readers in `hawkesfeed.io` turn every refused value into exit 3 in one
+place: a missing required key, a value of the wrong type, or a value its
+field cannot take, such as a NaN time, feature or weight.  Every vector in
+a feature store file must hold the number of values its manifest implies,
+all finite and nonnegative, and at most 1 for content vectors in a
+normalized store.
 """
 
 from __future__ import annotations

@@ -13,56 +13,84 @@ nonzero first `t` (the cascade is rebased), or from the post's ISO-8601
 "wall_clock" (converted to minutes since the epoch); otherwise 0.  Tied
 event times are nudged apart on load, and a missing "window_end" becomes
 the last event plus the 12-hour activity horizon.
+
+Readers parse inside `_boundary`, the one place where a value refused
+by a parser or a constructor becomes a `DataFormatError` naming the file
+and line.  Every vector a feature store holds must have the length its
+manifest implies and finite, nonnegative values; in a normalized store,
+content values are also at most 1.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
 from .baselines import ACTIVITY_HORIZON
 from .core import Cascade, Event, ModelParams, separate_ties
 from .errors import ConfigError, DataFormatError
-from .features import FeatureStore, Lexicon
+from .features import CHARACTER_FEATURES, RELATIONSHIP_FEATURES, FeatureStore, Lexicon
 from .rank_eval import GroupMetrics, RankReport
 from .simulate import random_sim_config
 
 FORMAT_VERSION = 1
 
+_REQUIRED = object()
+_LARGEST = np.finfo(float).max
 
-def _require(record, key, kinds, line=None, where="record"):
-    if key not in record:
-        raise DataFormatError(f"{where} is missing {key!r}", line=line)
-    value = record[key]
+
+@contextmanager
+def _boundary(where, line=None):
+    """Turn a value refused inside the block into a `DataFormatError`."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, ConfigError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise DataFormatError(f"{where}: {detail}", line=line) from exc
+
+
+def _field(record, key, kinds, default=_REQUIRED):
+    """record[key], refused unless one of `kinds`; an absent or null field
+    reads as `default`, and one without a default is required."""
+    value = record.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
     if not isinstance(value, kinds):
-        raise DataFormatError(
-            f"{where} field {key!r} has type {type(value).__name__}", line=line
-        )
+        raise TypeError(f"field {key!r} has type {type(value).__name__}")
     return value
 
 
-def _number(record, key, line=None, where="record", default=None):
-    if key not in record:
-        return default
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(
-            f"{where} field {key!r} must be a number", line=line
-        )
-    return float(value)
+def _number(record, key, default=_REQUIRED):
+    value = _field(record, key, (int, float), default)
+    if isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be a number")
+    return None if value is None else float(value)
 
 
-def _wall_clock_minutes(text, line=None):
+def _names(record, key, default=_REQUIRED):
+    names = _field(record, key, list, default)
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError(f"field {key!r} must hold strings")
+    return names
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError("record is not an object")
+    return value
+
+
+def _wall_clock_minutes(text):
     if not isinstance(text, str):
-        raise DataFormatError(f"wall_clock {text!r} is not an ISO-8601 string",
-                              line=line)
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise DataFormatError(f"bad wall_clock {text!r}: {exc}", line=line)
+        raise TypeError(f"wall_clock {text!r} is not an ISO-8601 string")
+    stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp() / 60.0
@@ -73,19 +101,15 @@ def _wall_clock_text(minutes):
     return stamp.isoformat()
 
 
-def _json_lines(path):
-    with open(path, encoding="utf-8") as fh:
+def _json_lines(path, where):
+    """(line number, object) for every nonblank line of a UTF-8 JSON-lines
+    file; a line is decoded inside the boundary, so bad bytes are refused."""
+    with open(path, "rb") as fh:
         for n, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"invalid JSON: {exc.msg}", line=n)
-            if not isinstance(record, dict):
-                raise DataFormatError("record is not an object", line=n)
-            yield n, record
+            if raw.strip():
+                with _boundary(where, n):
+                    record = _object(json.loads(raw.decode("utf-8")))
+                yield n, record
 
 
 def _write_lines(path, records):
@@ -94,15 +118,9 @@ def _write_lines(path, records):
             fh.write(json.dumps(record) + "\n")
 
 
-def _load_object(path, what):
+def _load_object(path):
     with open(path, encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{what} file {path}: invalid JSON: {exc.msg}")
-    if not isinstance(record, dict):
-        raise DataFormatError(f"{what} file {path} does not hold an object")
-    return record
+        return _object(json.load(fh))
 
 
 def _dump_object(path, record):
@@ -114,91 +132,63 @@ def _dump_object(path, record):
 # -------------------------------------------------------------------- corpus
 
 
-def _read_event(raw, line):
-    if not isinstance(raw, dict):
-        raise DataFormatError("event is not an object", line=line)
-    t = _number(raw, "t", line=line, where="event")
-    if t is None:
-        raise DataFormatError("event is missing 't'", line=line)
-    publisher = _require(raw, "publisher", str, line=line, where="event")
-    text = raw.get("text")
-    if text is not None and not isinstance(text, str):
-        raise DataFormatError("event 'text' must be a string", line=line)
-    features = raw.get("content_features")
-    if features is not None and not isinstance(features, list):
-        raise DataFormatError("event 'content_features' must be an array", line=line)
-    return t, publisher, text, features, raw.get("wall_clock")
+def _read_cascade(record):
+    cascade_id = _field(record, "cascade_id", str)
+    raw_events = _field(record, "events", list)
+    if not raw_events:
+        raise ValueError(f"cascade {cascade_id!r} has no events")
+    parsed = [
+        (_number(_object(e), "t"), _field(e, "publisher", str),
+         _field(e, "text", str, None), _field(e, "content_features", list, []),
+         e.get("wall_clock"))
+        for e in raw_events
+    ]
+    times = [p[0] for p in parsed]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError(f"cascade {cascade_id!r} event times decrease")
+    origin = _number(record, "origin", None)
+    if origin is not None:
+        if times[0] != 0:
+            raise ValueError("explicit 'origin' requires the post at t=0")
+    elif times[0] != 0:
+        origin = times[0]
+        times = [t - origin for t in times]
+    elif parsed[0][4] is not None:
+        origin = _wall_clock_minutes(parsed[0][4])
+    else:
+        origin = 0.0
+    times = separate_ties(times)
+    window_end = _number(record, "window_end", None)
+    if window_end is None:
+        window_end = times[-1] + ACTIVITY_HORIZON
+    events = [
+        Event(t, publisher, features, text)
+        for t, (_, publisher, text, features, _) in zip(times, parsed)
+    ]
+    return Cascade(
+        cascade_id=cascade_id,
+        post=events[0],
+        comments=events[1:],
+        window_end=window_end,
+        group_id=_field(record, "group_id", str, "default"),
+        origin=origin,
+        truncated=_field(record, "truncated", bool, False),
+    )
 
 
 def read_corpus(path):
     """Cascades from a JSON-lines file, one per line, in file order; a
     cascade id may appear only once."""
+    where = f"corpus file {path}"
     cascades, lines = [], {}
-    for n, record in _json_lines(path):
-        cascade_id = _require(record, "cascade_id", str, line=n)
-        if cascade_id in lines:
-            raise DataFormatError(
-                f"cascade id {cascade_id!r} already used on line {lines[cascade_id]}",
-                line=n,
-            )
-        lines[cascade_id] = n
-        group_id = record.get("group_id", "default")
-        if not isinstance(group_id, str):
-            raise DataFormatError("'group_id' must be a string", line=n)
-        raw_events = _require(record, "events", list, line=n)
-        if not raw_events:
-            raise DataFormatError(f"cascade {cascade_id!r} has no events", line=n)
-        parsed = [_read_event(e, n) for e in raw_events]
-        times = [p[0] for p in parsed]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise DataFormatError(
-                f"cascade {cascade_id!r} event times decrease", line=n
-            )
-        origin = _number(record, "origin", line=n)
-        if origin is not None:
-            if times[0] != 0:
-                raise DataFormatError(
-                    "explicit 'origin' requires the post at t=0", line=n
-                )
-        elif times[0] != 0:
-            origin = times[0]
-            times = [t - origin for t in times]
-        elif parsed[0][4] is not None:
-            origin = _wall_clock_minutes(parsed[0][4], line=n)
-        else:
-            origin = 0.0
-        times = separate_ties(times)
-        window_end = _number(record, "window_end", line=n)
-        if window_end is None:
-            window_end = times[-1] + ACTIVITY_HORIZON
-        truncated = record.get("truncated", False)
-        if not isinstance(truncated, bool):
-            raise DataFormatError("'truncated' must be a boolean", line=n)
-        try:
-            events = [
-                Event(
-                    t,
-                    publisher,
-                    np.asarray(features, dtype=float)
-                    if features is not None
-                    else np.zeros(0),
-                    text,
-                )
-                for t, (_, publisher, text, features, _) in zip(times, parsed)
-            ]
-            cascades.append(
-                Cascade(
-                    cascade_id=cascade_id,
-                    post=events[0],
-                    comments=events[1:],
-                    window_end=window_end,
-                    group_id=group_id,
-                    origin=origin,
-                    truncated=truncated,
-                )
-            )
-        except (ValueError, TypeError, ConfigError) as exc:
-            raise DataFormatError(f"cascade {cascade_id!r}: {exc}", line=n)
+    for n, record in _json_lines(path, where):
+        with _boundary(where, n):
+            cascade = _read_cascade(record)
+            cid = cascade.cascade_id
+            if cid in lines:
+                raise ValueError(f"cascade id {cid!r} already used on line {lines[cid]}")
+        lines[cid] = n
+        cascades.append(cascade)
     return cascades
 
 
@@ -236,24 +226,31 @@ def write_corpus(path, cascades):
 # ------------------------------------------------------------------- lexicon
 
 
-def read_lexicon(path):
+def _lexicon(entries, matching_mode):
+    """A `Lexicon` from (category, words) pairs in order: every category and
+    word is a string, and no category repeats."""
     categories = {}
-    matching_mode = "exact"
-    for n, record in _json_lines(path):
-        if "matching_mode" in record:
-            matching_mode = _require(record, "matching_mode", str, line=n)
-            continue
-        category = _require(record, "category", str, line=n)
-        words = _require(record, "words", list, line=n)
+    for category, words in entries:
+        if not (isinstance(category, str) and isinstance(words, list)
+                and all(isinstance(w, str) for w in words)):
+            raise TypeError(f"category {category!r} must name a list of strings")
         if category in categories:
-            raise DataFormatError(f"duplicate category {category!r}", line=n)
-        if not all(isinstance(w, str) for w in words):
-            raise DataFormatError(f"category {category!r} has non-string words", line=n)
+            raise ValueError(f"duplicate category {category!r}")
         categories[category] = words
-    try:
-        return Lexicon(categories, matching_mode)
-    except ConfigError as exc:
-        raise DataFormatError(f"lexicon file {path}: {exc}")
+    return Lexicon(categories, matching_mode)
+
+
+def read_lexicon(path):
+    where = f"lexicon file {path}"
+    entries, matching_mode = [], "exact"
+    for n, record in _json_lines(path, where):
+        with _boundary(where, n):
+            if "matching_mode" in record:
+                matching_mode = record["matching_mode"]
+            else:
+                entries.append((record["category"], record["words"]))
+    with _boundary(where):
+        return _lexicon(entries, matching_mode)
 
 
 def write_lexicon(path, lexicon):
@@ -266,14 +263,26 @@ def write_lexicon(path, lexicon):
 
 # -------------------------------------------------------------- model params
 
+_WEIGHTS = ("post_pair_weights", "post_content_weights",
+            "comment_pair_weights", "comment_content_weights")
+
+
+def _params(record, post_decay_rate, comment_decay_rate):
+    """`ModelParams` from a weights record; absent decay rates take the
+    given defaults and absent manifests are generated."""
+    return ModelParams(
+        *(_field(record, key, list) for key in _WEIGHTS),
+        post_decay_rate=_number(record, "post_decay_rate", post_decay_rate),
+        comment_decay_rate=_number(record, "comment_decay_rate", comment_decay_rate),
+        pair_feature_names=_names(record, "pair_feature_names", []),
+        content_feature_names=_names(record, "content_feature_names", []),
+    )
+
 
 def write_model(path, params, diagnostics=None):
     record = {
         "format_version": FORMAT_VERSION,
-        "post_pair_weights": params.post_pair_weights.tolist(),
-        "post_content_weights": params.post_content_weights.tolist(),
-        "comment_pair_weights": params.comment_pair_weights.tolist(),
-        "comment_content_weights": params.comment_content_weights.tolist(),
+        **{key: getattr(params, key).tolist() for key in _WEIGHTS},
         "post_decay_rate": params.post_decay_rate,
         "comment_decay_rate": params.comment_decay_rate,
         "pair_feature_names": list(params.pair_feature_names),
@@ -285,43 +294,41 @@ def write_model(path, params, diagnostics=None):
 
 
 def read_model(path):
-    record = _load_object(path, "model")
-    where = f"model file {path}"
-    try:
-        return ModelParams(
-            post_pair_weights=_require(record, "post_pair_weights", list, where=where),
-            post_content_weights=_require(
-                record, "post_content_weights", list, where=where
-            ),
-            comment_pair_weights=_require(
-                record, "comment_pair_weights", list, where=where
-            ),
-            comment_content_weights=_require(
-                record, "comment_content_weights", list, where=where
-            ),
-            post_decay_rate=_number(record, "post_decay_rate", where=where, default=0.001),
-            comment_decay_rate=_number(
-                record, "comment_decay_rate", where=where, default=0.01
-            ),
-            pair_feature_names=record.get("pair_feature_names", []),
-            content_feature_names=record.get("content_feature_names", []),
-        )
-    except (ValueError, TypeError, ConfigError) as exc:
-        raise DataFormatError(f"{where}: {exc}")
+    with _boundary(f"model file {path}"):
+        return _params(_load_object(path), 0.001, 0.01)
 
 
 # ------------------------------------------------------------- feature store
 
 
+def _vectors(name, vectors, width, top=None):
+    """Stored vectors as the rows of one matrix, converted and checked at
+    once: each holds `width` finite, nonnegative values, none above `top`
+    when it is given."""
+    if any(type(v) is not list or len(v) != width for v in vectors):
+        raise ValueError(f"{name} vectors must be arrays of {width} values")
+    matrix = np.fromiter(chain.from_iterable(vectors), float, len(vectors) * width)
+    if matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= (top or _LARGEST)):
+        raise ValueError(f"{name} values must be finite and nonnegative"
+                         + ("" if top is None else f", at most {top}"))
+    return matrix.reshape(len(vectors), width)
+
+
+def _table(name, rows, width, top=None):
+    """{key: vector} from a section's key-to-vector map, its vectors checked
+    by one `_vectors` call."""
+    return dict(zip(rows, _vectors(name, list(rows.values()), width, top)))
+
+
+def _bounds(record, name, width):
+    bounds = _field(record, name, list, None)
+    if bounds is not None and len(bounds) != 2:
+        raise ValueError(f"{name} must hold a lower and an upper vector")
+    return None if bounds is None else tuple(_vectors(name, bounds, width))
+
+
 def _bounds_record(bounds):
     return None if bounds is None else [bounds[0].tolist(), bounds[1].tolist()]
-
-
-def _bounds_from(record):
-    if record is None:
-        return None
-    lo, hi = record
-    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
 def write_store(path, store):
@@ -352,31 +359,34 @@ def write_store(path, store):
 
 
 def read_store(path):
-    record = _load_object(path, "feature store")
-    where = f"feature store file {path}"
-    lex = record.get("lexicon")
-    try:
-        lexicon = (
-            None
-            if lex is None
-            else Lexicon(dict(lex["categories"]), lex.get("matching_mode", "exact"))
-        )
-        arr = lambda v: np.asarray(v, dtype=float)
+    with _boundary(f"feature store file {path}"):
+        record = _load_object(path)
+        pair_names = _names(record, "pair_feature_names")
+        content_names = _names(record, "content_feature_names")
+        normalized = _field(record, "normalized", bool, False)
+        lex = _field(record, "lexicon", dict, None)
+        k, r = len(CHARACTER_FEATURES), len(RELATIONSHIP_FEATURES)
+        rows = {name: _field(record, name, list, [])
+                for name in ("character", "relationship", "pairs", "content")}
         return FeatureStore(
-            pair_names=_require(record, "pair_feature_names", list, where=where),
-            content_names=_require(record, "content_feature_names", list, where=where),
-            character={u: arr(v) for u, v in record.get("character", [])},
-            relationship={(a, b): arr(v) for a, b, v in record.get("relationship", [])},
-            pairs={(u, p): arr(v) for u, p, v in record.get("pairs", [])},
-            content={k: arr(v) for k, v in record.get("content", [])},
-            character_bounds=_bounds_from(record.get("character_bounds")),
-            relationship_bounds=_bounds_from(record.get("relationship_bounds")),
-            content_bounds=_bounds_from(record.get("content_bounds")),
-            lexicon=lexicon,
-            normalized=bool(record.get("normalized", False)),
+            pair_names=pair_names,
+            content_names=content_names,
+            character=_table("character", {u: v for u, v in rows["character"]}, k),
+            relationship=_table(
+                "relationship", {(a, b): v for a, b, v in rows["relationship"]}, r
+            ),
+            pairs=_table("pairs", {(u, p): v for u, p, v in rows["pairs"]},
+                         len(pair_names)),
+            content=_table("content", {key: v for key, v in rows["content"]},
+                           len(content_names), 1.0 if normalized else None),
+            character_bounds=_bounds(record, "character_bounds", k),
+            relationship_bounds=_bounds(record, "relationship_bounds", r),
+            content_bounds=_bounds(record, "content_bounds", len(content_names)),
+            lexicon=None if lex is None else _lexicon(
+                _field(lex, "categories", list), lex.get("matching_mode", "exact")
+            ),
+            normalized=normalized,
         )
-    except (ValueError, TypeError, KeyError, ConfigError) as exc:
-        raise DataFormatError(f"{where}: {exc}")
 
 
 # -------------------------------------------------------------------- report
@@ -392,28 +402,28 @@ def write_report(path, report):
 
 
 def read_report(path):
-    groups = []
-    ranker = None
-    for n, record in _json_lines(path):
-        name = _require(record, "ranker", str, line=n)
-        if ranker is None:
+    where = f"report file {path}"
+    groups, ranker = [], None
+    for n, record in _json_lines(path, where):
+        with _boundary(where, n):
+            name = _field(record, "ranker", str)
+            if ranker not in (None, name):
+                raise ValueError(f"mixed rankers in one report: {ranker!r} vs {name!r}")
             ranker = name
-        elif name != ranker:
-            raise DataFormatError(
-                f"mixed rankers in one report: {ranker!r} vs {name!r}", line=n
+            g = GroupMetrics(
+                group_id=_field(record, "group_id", str),
+                ave_rank=_number(record, "ave_rank"),
+                nave_rank=_number(record, "nave_rank"),
+                mean_activity=_number(record, "mean_activity"),
+                n_comments=_field(record, "n_comments", int),
+                rank_trace=_field(record, "rank_trace", list),
             )
-        groups.append(
-            GroupMetrics(
-                group_id=_require(record, "group_id", str, line=n),
-                ave_rank=_number(record, "ave_rank", line=n),
-                nave_rank=_number(record, "nave_rank", line=n),
-                mean_activity=_number(record, "mean_activity", line=n),
-                n_comments=int(_number(record, "n_comments", line=n, default=0)),
-                rank_trace=record.get("rank_trace", []),
-            )
-        )
+            if len(g.rank_trace) != g.n_comments or not all(
+                    type(r) is int and r >= 0 for r in g.rank_trace):
+                raise ValueError("rank_trace must hold n_comments nonnegative integers")
+        groups.append(g)
     if ranker is None:
-        raise DataFormatError(f"report file {path} is empty")
+        raise DataFormatError(f"{where} is empty")
     return RankReport(ranker=ranker, groups=groups)
 
 
@@ -428,33 +438,19 @@ _SIM_KEYS = {
 
 def read_sim_config(path, seed=None):
     """Simulator configuration; `seed` overrides the file's value."""
-    record = _load_object(path, "simulator config")
-    unknown = set(record) - _SIM_KEYS
-    if unknown:
-        raise DataFormatError(
-            f"simulator config file {path}: unknown keys {sorted(unknown)}"
-        )
-    kwargs = dict(record)
-    params = kwargs.pop("params", None)
-    if params is not None:
-        try:
-            kwargs["params"] = ModelParams(
-                post_pair_weights=params["post_pair_weights"],
-                post_content_weights=params["post_content_weights"],
-                comment_pair_weights=params["comment_pair_weights"],
-                comment_content_weights=params["comment_content_weights"],
-                post_decay_rate=params.get(
-                    "post_decay_rate", record.get("post_decay_rate", 0.001)
-                ),
-                comment_decay_rate=params.get(
-                    "comment_decay_rate", record.get("comment_decay_rate", 0.01)
-                ),
+    with _boundary(f"simulator config file {path}"):
+        kwargs = _load_object(path)
+        unknown = set(kwargs) - _SIM_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        params = _field(kwargs, "params", dict, None)
+        if params is not None:
+            # decay rates the weights leave out come from the config itself
+            kwargs["params"] = _params(
+                params,
+                _number(kwargs, "post_decay_rate", 0.001),
+                _number(kwargs, "comment_decay_rate", 0.01),
             )
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DataFormatError(f"simulator config file {path}: params: {exc}")
-    if seed is not None:
-        kwargs["seed"] = seed
-    try:
+        if seed is not None:
+            kwargs["seed"] = seed
         return random_sim_config(**kwargs)
-    except TypeError as exc:
-        raise DataFormatError(f"simulator config file {path}: {exc}")

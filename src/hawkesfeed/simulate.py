@@ -15,6 +15,7 @@ more expected comments, cascades have no finite mean size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,10 +43,16 @@ class SimConfig:
     group_id: str = "sim"
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:  # a NaN fails too
+            raise ConfigError("horizon must be finite and positive")
         if self.max_events < 1:
             raise ConfigError("max_events must be at least 1")
+        if not (isinstance(self.n_cascades, (int, np.integer)) and self.n_cascades >= 0):
+            raise ConfigError("n_cascades must be a nonnegative integer")
+        if not math.isfinite(self.origin_spacing):
+            raise ConfigError("origin_spacing must be finite")
+        if not isinstance(self.group_id, str):
+            raise ConfigError("group_id must be a string")
         if not self.users:
             raise ConfigError("user population is empty")
         if (self.params.pair_dim, self.params.content_dim) != (

@@ -8,6 +8,7 @@ from hawkesfeed.baselines import (
     ACTIVITY_HORIZON,
     WEIGHT_CAP,
     CoxParams,
+    _PairDesign,
     cox_covariate,
     order_candidates,
 )
@@ -17,6 +18,7 @@ from hawkesfeed.features import FeatureStore, build_feature_store
 from hawkesfeed.fit import _full_mask
 from hawkesfeed.likelihood import (
     build_corpus_terms,
+    comment_links,
     log_likelihood_derivatives,
     penalty_weights,
 )
@@ -113,6 +115,29 @@ def hwk_intensity(params, user, cascade, local_t):
             -params.comment_decay_rate * (local_t - e.time)
         )
     return float(lam)
+
+
+def hwk_log_likelihood(cascades, params):
+    """The HWK log-likelihood at `params`, the oracle for the EM's trace; the
+    population is every user holding a rate."""
+    pd, cd = params.post_decay_rate, params.comment_decay_rate
+    links = comment_links(cascades, pd, cd)
+    design = _PairDesign(links)
+    theta = np.array(
+        [params.post_rates.get(k, 0.0) for k in design.post_keys]
+        + [params.comment_rates.get(k, 0.0) for k in design.comment_keys]
+    )
+    value = design.log_likelihood(design.intensities(theta), theta)
+    # rates on pairs the corpus never links still pay their publisher's exposure
+    index = {name: i for i, name in enumerate(links.names)}
+    for rates, keys, exposure in zip((params.post_rates, params.comment_rates),
+                                     (design.post_keys, design.comment_keys),
+                                     links.exposures()):
+        linked = set(keys)
+        for (u, p), v in rates.items():
+            if (u, p) not in linked and p in index:
+                value -= v * exposure[index[p]]
+    return float(value)
 
 
 # Corpus variants and probe times shared by the scratch-state tests.

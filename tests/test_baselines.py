@@ -12,7 +12,6 @@ from hawkesfeed.baselines import (
     _cox_design,
     fit_cox,
     fit_hwk_em,
-    hwk_log_likelihood,
     order_candidates,
 )
 from hawkesfeed.baselines import PairwiseHawkesParams
@@ -21,7 +20,7 @@ from hawkesfeed.errors import EstimationError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.rank_eval import CoxRanker, NNRanker, PairwiseRanker, RecencyRanker
 
-from conftest import hwk_intensity, make_cascade, random_corpus
+from conftest import hwk_intensity, hwk_log_likelihood, make_cascade, random_corpus
 
 
 def content_store(dim=1):

@@ -16,14 +16,11 @@ import numpy as np
 import pytest
 
 import hawkesfeed
-from hawkesfeed.baselines import (
-    PairwiseHawkesParams,
-    fit_hwk_em,
-    hwk_log_likelihood,
-)
+from hawkesfeed.baselines import PairwiseHawkesParams, fit_hwk_em
 from hawkesfeed.errors import EstimationError
 
-from conftest import USERS, hwk_intensity, make_cascade, random_corpus
+from conftest import (USERS, hwk_intensity, hwk_log_likelihood, make_cascade,
+                      random_corpus)
 
 
 def oracle_log_likelihood(cascades, params):
