@@ -20,7 +20,6 @@ import bisect
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -44,8 +43,8 @@ def order_candidates(cascades, scores, t):
     Recency is read only for cascades whose score ties another's.
     """
     if len(set(scores)) == len(scores):  # no ties: the score alone orders them
-        rows = sorted(zip(scores, cascades), key=itemgetter(0), reverse=True)
-        return [c for _, c in rows]
+        return [cascades[i] for i in
+                sorted(range(len(scores)), key=scores.__getitem__, reverse=True)]
     counts = Counter(scores)
     rows = sorted(zip(scores, cascades), key=lambda sc: (
         -sc[0],

@@ -8,13 +8,16 @@ place: a missing required key, a value of the wrong type, or a value its
 field cannot take, such as a NaN time, feature or weight.  Every vector in
 a feature store file must hold the number of values its manifest implies,
 all finite and nonnegative, and at most 1 for content vectors in a
-normalized store.
+normalized store.  Numeric options are checked as they are parsed: a value
+an option cannot take, such as a NaN, a negative penalty or a zero decay
+rate, is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import io
@@ -38,10 +41,38 @@ from .rank_eval import (
 from .simulate import branching_ratio, simulate_corpus
 
 
+def _flag_type(parse, ok, what):
+    """An argparse type: the text parsed by `parse` and refused unless
+    `ok`, which argparse reports as a usage error (exit 2)."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
+
+
+def _penalty_ok(z):
+    return 0.0 <= z < math.inf
+
+
+_PENALTY = _flag_type(float, _penalty_ok, "a finite penalty >= 0")
+_PENALTY_GRID = _flag_type(
+    lambda text: tuple(float(z) for z in text.split(",")),
+    lambda grid: all(map(_penalty_ok, grid)),
+    "a comma-separated list of finite penalties >= 0")
+_POSITIVE = _flag_type(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_MINUTES = _flag_type(float, math.isfinite, "a finite number of minutes")
+_COUNT = _flag_type(int, lambda n: n >= 0, "a nonnegative integer")
+
+
 def _decay_flags(p):
-    p.add_argument("--post-decay", type=float, default=0.001, metavar="RATE",
+    p.add_argument("--post-decay", type=_POSITIVE, default=0.001, metavar="RATE",
                    help="post influence decay rate per minute (default 0.001)")
-    p.add_argument("--comment-decay", type=float, default=0.01, metavar="RATE",
+    p.add_argument("--comment-decay", type=_POSITIVE, default=0.01, metavar="RATE",
                    help="comment influence decay rate per minute (default 0.01)")
 
 
@@ -63,24 +94,24 @@ def build_parser():
     p.add_argument("corpus", help="training corpus (JSON lines)")
     p.add_argument("--features", required=True, help="feature store from extract-features")
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--penalty", type=float, default=0.0,
+    p.add_argument("--penalty", type=_PENALTY, default=0.0,
                    help="l1 penalty weight (default 0)")
     p.add_argument("--cv", action="store_true",
                    help="pick the penalty by cross-validation instead")
-    p.add_argument("--penalty-grid", metavar="Z1,Z2,...",
+    p.add_argument("--penalty-grid", type=_PENALTY_GRID, metavar="Z1,Z2,...",
                    help="comma-separated penalties searched by --cv")
     p.add_argument("--feature-set", choices=FEATURE_SETS, default="all",
                    help="restrict the weights to one feature family")
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--max-iterations", type=_COUNT, default=500)
+    p.add_argument("--tolerance", type=_POSITIVE, default=1e-9)
     _decay_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="sample a synthetic corpus")
     p.add_argument("config", help="simulator config (JSON)")
     p.add_argument("--out", required=True, help="corpus output path")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--n-cascades", type=int, help="override the config cascade count")
+    p.add_argument("--seed", type=_COUNT, help="override the config seed")
+    p.add_argument("--n-cascades", type=_COUNT, help="override the config cascade count")
     p.add_argument("--out-features", help="also write the generator's feature store")
     p.add_argument("--out-model", help="also write the generator's true weights")
     p.set_defaults(func=cmd_simulate)
@@ -90,7 +121,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="fitted model file")
     p.add_argument("--features", required=True, help="feature store")
     p.add_argument("--user", required=True, help="user whose feed to rank")
-    p.add_argument("--t", required=True, type=float, metavar="MINUTES",
+    p.add_argument("--t", required=True, type=_MINUTES, metavar="MINUTES",
                    help="global time of the ranking")
     p.add_argument("--policy", choices=CANDIDATE_POLICIES, default="all",
                    help="candidate cascade policy (default all)")
@@ -104,7 +135,7 @@ def build_parser():
     p.add_argument("--features", help="feature store (needed by all but RCHR and HWK)")
     p.add_argument("--model", help="fitted model reused by HWK-* rankers")
     p.add_argument("--policy", choices=CANDIDATE_POLICIES, default="all")
-    p.add_argument("--penalty", type=float, default=0.0,
+    p.add_argument("--penalty", type=_PENALTY, default=0.0,
                    help="l1 penalty when fitting HWK-* rankers")
     _decay_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -143,10 +174,7 @@ def cmd_fit(args):
     )
     diagnostics = {}
     if args.cv:
-        if args.penalty_grid:
-            grid = tuple(float(z) for z in args.penalty_grid.split(","))
-        else:
-            grid = DEFAULT_PENALTY_GRID
+        grid = args.penalty_grid or DEFAULT_PENALTY_GRID
         cv = cross_validate(cascades, store, users,
                             dataclasses.replace(config, penalty_grid=grid))
         config.penalty = cv.best_penalty

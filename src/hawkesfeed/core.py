@@ -26,6 +26,13 @@ comment's jump in place.  The decay and the jump are written there and
 nowhere else; `decay_state` and `absorb_event` apply them to a copy and
 leave their input as it was.  The streaming and scratch routes agree to
 floating-point accuracy.
+
+A `Cascade` holds its comments as a tuple; `Cascade.append` adds one.
+`Cascade.columns` gives them as `CascadeColumns` (times, publisher codes
+and a content matrix), built on first read for the tuple in place and
+rebuilt whenever another tuple takes its place, so they never go stale.
+`rank_eval.prioritize` scores from the columns; `states_at`, the exact
+reference, reads the events.
 """
 
 from __future__ import annotations
@@ -88,11 +95,17 @@ class Cascade:
     `origin` is the wall-clock minute at which the post appeared.  It is
     bookkeeping for cross-cascade work (candidate sets, recency ranking)
     and never enters within-cascade math, which stays on the relative axis.
+
+    `comments` is stored as a tuple, so it cannot change in place: the
+    way to add a comment is `append`, which checks it and puts a new tuple
+    in place.  `columns` holds the comments as arrays and is rebuilt
+    whenever `comments` is not the very tuple it was built from, so it
+    never goes stale.
     """
 
     cascade_id: str
     post: Event
-    comments: list[Event]
+    comments: tuple[Event, ...]
     window_end: float
     group_id: str = "default"
     origin: float = 0.0
@@ -105,19 +118,41 @@ class Cascade:
             raise ValueError(f"cascade {self.cascade_id}: window_end must be positive")
         if not math.isfinite(self.origin):
             raise ValueError(f"cascade {self.cascade_id}: origin must be finite")
+        self.comments = tuple(self.comments)
         prev = 0.0
         for c in self.comments:
-            if c.time <= prev:
-                raise ValueError(
-                    f"cascade {self.cascade_id}: comment times must be strictly "
-                    f"increasing and after the post (got {c.time} after {prev})"
-                )
-            if c.time >= self.window_end:
-                raise ValueError(
-                    f"cascade {self.cascade_id}: comment at {c.time} outside the "
-                    f"window [0, {self.window_end})"
-                )
+            if not prev < c.time < self.window_end:
+                self._refuse(c, prev)
             prev = c.time
+        self._columns = None
+
+    def _refuse(self, comment, prev):
+        if comment.time <= prev:
+            raise ValueError(
+                f"cascade {self.cascade_id}: comment times must be strictly "
+                f"increasing and after the post (got {comment.time} after {prev})"
+            )
+        raise ValueError(
+            f"cascade {self.cascade_id}: comment at {comment.time} outside the "
+            f"window [0, {self.window_end})"
+        )
+
+    def append(self, comment):
+        """Add a comment after the newest one, inside the window."""
+        comments = self.comments
+        prev = comments[-1].time if comments else 0.0
+        if not prev < comment.time < self.window_end:
+            self._refuse(comment, prev)
+        self.comments = comments + (comment,)
+
+    @property
+    def columns(self):
+        """The comments as `CascadeColumns`, built on first read and again
+        whenever `comments` is no longer the tuple they were built from."""
+        cols = self._columns
+        if cols is None or cols.comments is not self.comments:
+            cols = self._columns = CascadeColumns.of(tuple(self.comments))
+        return cols
 
     @property
     def events(self):
@@ -144,6 +179,48 @@ class Cascade:
             return self.origin + self.comments[k - 1].time
         t = self.origin + self.post.time
         return t if before is None or t < before else None
+
+
+@dataclass(frozen=True, eq=False)
+class CascadeColumns:
+    """A cascade's comments as arrays, for the one `comments` tuple they
+    were built from.
+
+    `times` are the relative minutes; `codes[i]` indexes comment i's
+    publisher in `publishers`, which lists each publisher once, in order of
+    first comment.  `content` stacks the content vectors as one
+    C-contiguous (n, d) matrix, a comment without content as a zero row:
+    d is the width every comment with content shares, 0 when none has any,
+    and `content` is None when two widths differ.
+    """
+
+    comments: tuple
+    times: np.ndarray
+    publishers: tuple
+    codes: np.ndarray
+    content: np.ndarray | None
+
+    @classmethod
+    def of(cls, comments):
+        index = {}
+        codes = [index.setdefault(e.publisher, len(index)) for e in comments]
+        rows = list(map(_content, comments))
+        widths = set(map(len, rows))
+        d = max(widths, default=0)
+        if widths - {0, d}:
+            content = None
+        elif d:
+            if 0 in widths:
+                rows = [r if r.size else np.zeros(d) for r in rows]
+            content = np.concatenate(rows).reshape(len(rows), d)
+        else:
+            content = np.zeros((len(rows), 0))
+        times = np.fromiter(map(_time, comments), float, len(comments))
+        codes = np.array(codes, dtype=np.intp)
+        for a in (times, codes, content):
+            if a is not None:
+                a.flags.writeable = False
+        return cls(comments, times, tuple(index), codes, content)
 
 
 def separate_ties(times):

@@ -18,7 +18,9 @@ Readers parse inside `_boundary`, the one place where a value refused
 by a parser or a constructor becomes a `DataFormatError` naming the file
 and line.  Every vector a feature store holds must have the length its
 manifest implies and finite, nonnegative values; in a normalized store,
-content values are also at most 1.
+content values are also at most 1.  A vector of numbers (content, weights,
+stored features) holds JSON numbers only: `true` and `false` are refused,
+though Python would read them as 1 and 0.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ FORMAT_VERSION = 1
 
 _REQUIRED = object()
 _LARGEST = np.finfo(float).max
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @contextmanager
@@ -49,7 +52,7 @@ def _boundary(where, line=None):
     """Turn a value refused inside the block into a `DataFormatError`."""
     try:
         yield
-    except (ValueError, TypeError, KeyError, ConfigError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, ConfigError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise DataFormatError(f"{where}: {detail}", line=line) from exc
 
@@ -72,6 +75,14 @@ def _number(record, key, default=_REQUIRED):
     if isinstance(value, bool):
         raise TypeError(f"field {key!r} must be a number")
     return None if value is None else float(value)
+
+
+def _numbers(values, name):
+    """`values`, refused unless every item is a JSON number; `true` and
+    `false` are refused too, though Python counts them as integers."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise TypeError(f"{name} must hold numbers only")
+    return values
 
 
 def _names(record, key, default=_REQUIRED):
@@ -139,7 +150,8 @@ def _read_cascade(record):
         raise ValueError(f"cascade {cascade_id!r} has no events")
     parsed = [
         (_number(_object(e), "t"), _field(e, "publisher", str),
-         _field(e, "text", str, None), _field(e, "content_features", list, []),
+         _field(e, "text", str, None),
+         _numbers(_field(e, "content_features", list, []), "content_features"),
          e.get("wall_clock"))
         for e in raw_events
     ]
@@ -271,7 +283,7 @@ def _params(record, post_decay_rate, comment_decay_rate):
     """`ModelParams` from a weights record; absent decay rates take the
     given defaults and absent manifests are generated."""
     return ModelParams(
-        *(_field(record, key, list) for key in _WEIGHTS),
+        *(_numbers(_field(record, key, list), key) for key in _WEIGHTS),
         post_decay_rate=_number(record, "post_decay_rate", post_decay_rate),
         comment_decay_rate=_number(record, "comment_decay_rate", comment_decay_rate),
         pair_feature_names=_names(record, "pair_feature_names", []),
@@ -307,7 +319,8 @@ def _vectors(name, vectors, width, top=None):
     when it is given."""
     if any(type(v) is not list or len(v) != width for v in vectors):
         raise ValueError(f"{name} vectors must be arrays of {width} values")
-    matrix = np.fromiter(chain.from_iterable(vectors), float, len(vectors) * width)
+    values = _numbers(list(chain.from_iterable(vectors)), f"{name} vectors")
+    matrix = np.array(values, dtype=float)
     if matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= (top or _LARGEST)):
         raise ValueError(f"{name} values must be finite and nonnegative"
                          + ("" if top is None else f", at most {top}"))

@@ -15,10 +15,19 @@ position of the cascade it actually landed in, then let every ranker
 state absorb it.  AveRank is the mean recorded position; NAveRank divides
 by the group's average number of active cascades, so groups of different
 sizes are comparable.
+
+A scratch feed query (`prioritize`) scores its candidates in one vector
+pass over their `Cascade.columns` and certifies the order it serves:
+`certified_intensities` bounds each score's distance from the exact
+`JumpTable.states_at` intensity, and an order the bounds cannot prove
+equal to the exact one is rescored exactly.  The served order is always
+`order_candidates` over the exact intensities.  The streaming rankers'
+states, and every printed intensity, stay on the exact path.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -32,7 +41,13 @@ from .baselines import (
     fit_hwk_em,
     order_candidates,
 )
-from .core import Cascade, JumpTable, comment_stream, corpus_participants
+from .core import (
+    Cascade,
+    JumpTable,
+    _content_scores,
+    comment_stream,
+    corpus_participants,
+)
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
 from .fit import FitConfig, fit
@@ -49,18 +64,144 @@ def prioritize(user, t, cascades, states, params, store):
     """Candidates in descending intensity for `user` at global minute t.
 
     `states` maps cascade id to an IntensityState already decayed to t;
-    cascades without one are scored from scratch with one
-    `JumpTable.states_at` call for the whole query.  Ties break by most
+    the other cascades are scored from scratch.  Ties break by most
     recent event, then cascade id.
+
+    The scratch scores come from `certified_intensities`, and each score's
+    error radius turns it into an interval holding the exact intensity.
+    When the intervals of neighbours in that order are disjoint, the exact
+    intensities are distinct and in the same order, so the order is
+    `order_candidates`' own.  Otherwise every scratch candidate is
+    rescored exactly by `JumpTable.states_at` and `order_candidates`
+    orders them.
     """
-    states, built = states or {}, {}
+    states = states or {}
     fresh = [c for c in cascades if c.cascade_id not in states]
-    if fresh:
-        built = dict(zip((c.cascade_id for c in fresh), JumpTable(params, store)
-                         .states_at(user, fresh, [t - c.origin for c in fresh])))
+    if not fresh:
+        return order_candidates(
+            cascades, [states[c.cascade_id].intensity for c in cascades], t)
+    jumps = JumpTable(params, store)
+    ts = [t - c.origin for c in fresh]
+    scored = certified_intensities(jumps, user, fresh, ts)
+    if scored is not None:
+        lam, radius = (v.tolist() for v in scored)
+        if len(fresh) < len(cascades):  # supplied states are exact
+            at = {c.cascade_id: i for i, c in enumerate(fresh)}
+            rows = [at.get(c.cascade_id) for c in cascades]
+            lam = [states[c.cascade_id].intensity if i is None else lam[i]
+                   for c, i in zip(cascades, rows)]
+            radius = [0.0 if i is None else radius[i] for i in rows]
+        order = sorted(range(len(lam)), key=lam.__getitem__, reverse=True)
+        if all(lam[i] - radius[i] > lam[j] + radius[j] for i, j in zip(order, order[1:])):
+            return [cascades[i] for i in order]
+    built = dict(zip((c.cascade_id for c in fresh), jumps.states_at(user, fresh, ts)))
     scores = [(states.get(c.cascade_id) or built[c.cascade_id]).intensity
               for c in cascades]
     return order_candidates(cascades, scores, t)
+
+
+# The error, in ulps, allowed for each of np.exp and math.exp.
+_EXP_ULPS = 4
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1022  # smallest normal float64
+
+
+def certified_intensities(jumps, user, cascades, ts):
+    """Intensities of `user` on each cascade at its relative time ts[i],
+    close to `jumps.states_at`'s, with a radius bounding the gap; None when
+    the batch cannot be scored this way (a negative time, or content whose
+    width does not fit the model), which `states_at` then reports.
+
+    One vector pass over the cascades' columns: each prefix of comments
+    before ts[i] is found by bisection and the prefixes are concatenated.
+    The jumps and the exponents are the floats `states_at` forms, with
+    the same IEEE operations: `part[publisher] + vecdot(content, w)` and
+    `(-rate) * (t - time)`.  Only two steps differ: `np.exp` in place of
+    `math.exp`, and `np.add.reduceat`'s pairwise sums in place of the
+    left-to-right loop.
+
+    The radius (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., sections 2.1 and 4.2).  Let u = 2^-53, s = 2^-1074 (the
+    subnormal spacing) and K = _EXP_ULPS.  A cascade's intensity is a sum
+    of at most n + 1 nonnegative terms J_i e_i, the post term and one term
+    per comment before ts[i], where n is the longest prefix in the batch,
+    e_i is exp of the shared exponent and J_i >= 0 the shared jump.
+
+    1. An exp within K ulps returns e(1 + eps) + eta, |eps| <= 2Ku and
+       |eta| <= K s.  glibc's table of known maximum errors puts exp
+       (which `math.exp` calls) at 1 ulp or less, and NumPy's accuracy
+       data set (`umath-validation-set-exp.csv`) holds float64 `np.exp` to
+       1 ulp; K = 4 leaves room for other libraries.
+    2. The product fl(J e) adds a relative u and, on underflow, an
+       absolute s/2.  So each computed term is x_i = J_i e_i (1 + theta_i)
+       + beta_i, with |theta_i| <= rho = (2K + 1)u + 2Ku^2 and |beta_i|
+       <= ((K + 1) J_max + 1) s, J_max being the batch's largest jump.
+    3. `states_at` adds the comment terms left to right and then the post
+       term; this pass adds them pairwise and then the post term.  Either
+       way each term passes through at most n additions, so the sum is
+       sum_i x_i (1 + mu_i) with |mu_i| <= gamma_n = nu/(1 - nu), and
+       adding floats loses nothing to underflow.
+    4. So each route lies within a T + B of the exact sum T of J_i e_i,
+       where a = gamma_n (1 + rho) + rho and B = (1 + gamma_n)(n + 1)
+       ((K + 1) J_max + 1) s.  Then T <= (lam + B)/(1 - a) for this
+       pass's value lam, and the two routes differ by at most
+       2(a T + B) <= 2(a lam + B)/(1 - a).
+
+    The radius is that bound with s replaced by the smallest normal float
+    (2^52 s, which covers any underflow with room to spare), a widened by
+    2u, and the whole widened by a factor 1 + 2^-40.  The widenings cover
+    the rounding in the radius's own dozen operations and in the
+    caller's lam - radius and lam + radius.
+    """
+    if not cascades:
+        return np.zeros(0), np.zeros(0)
+    if min(ts) < 0:
+        return None
+    p = jumps.params
+    w = p.comment_content_weights
+    times, codes, content, names, firsts, counts = [], [], [], [], [], []
+    for c, t in zip(cascades, ts):
+        cols = c.columns
+        k = bisect.bisect_left(cols.times, t)  # the comments strictly before t
+        counts.append(k)
+        if not k:
+            continue
+        times.append(cols.times[:k])
+        codes.append(cols.codes[:k])
+        firsts.append(len(names))
+        names += cols.publishers
+        if w.size:
+            rows = cols.content
+            if rows is None or rows.shape[1] not in (0, w.size):
+                return None
+            content.append(rows[:k] if rows.shape[1] else np.zeros((k, w.size)))
+    posts = [c.post for c in cascades]
+    parts = {name: jumps.pair(user, name)
+             for name in {*names, *(e.publisher for e in posts)}}
+    post_jumps = np.fromiter((parts[e.publisher][0] for e in posts), float, len(posts)) \
+        + _content_scores(posts, p.post_content_weights)
+    ts = np.array(ts)
+    lam = post_jumps * np.exp((-p.post_decay_rate) * ts)
+    j_max, n = post_jumps.max(), max(counts)
+    if n:
+        counts = np.array(counts)
+        live = counts > 0
+        comment_part = {name: pair[1] for name, pair in parts.items()}
+        comment_jumps = np.fromiter(map(comment_part.__getitem__, names), float, len(names))[
+            np.concatenate(codes) + np.array(firsts).repeat(counts[live])]
+        comment_jumps += np.vecdot(np.concatenate(content), w) if w.size else 0.0
+        terms = comment_jumps * np.exp((-p.comment_decay_rate) * (
+            ts.repeat(counts) - np.concatenate(times)))
+        b = np.zeros(len(cascades))
+        b[live] = np.add.reduceat(terms, (counts.cumsum() - counts)[live])
+        lam += b
+        j_max = max(j_max, comment_jumps.max())
+    gamma = n * _U / (1.0 - n * _U)
+    rho = (2 * _EXP_ULPS + 1) * _U + 2 * _EXP_ULPS * _U * _U
+    a = gamma * (1.0 + rho) + rho + 2 * _U
+    big_b = (1.0 + gamma) * (n + 1.0) * ((_EXP_ULPS + 1) * j_max + 1.0) * _TINY
+    scale = 2.0 * (1.0 + 2.0 ** -40) / (1.0 - a)
+    return lam, (scale * a) * lam + scale * big_b
 
 
 def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORIZON):
@@ -387,7 +528,7 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
             trace.append(served.index(target))
         for _, c, _, e in batch:
             shadow = shadows[c.cascade_id]
-            shadow.comments.append(e)
+            shadow.append(e)
             ranker.absorb(shadow, e, t)
         i = j
 

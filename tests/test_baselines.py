@@ -109,7 +109,7 @@ def test_update_profile_moving_average_hand_values():
     shadow = make_cascade([], cascade_id="A", content_dim=2)
     profiles = []
     for e in c.comments:
-        shadow.comments.append(e)
+        shadow.append(e)
         ranker.absorb(shadow, e, e.time)
         profiles.append(ranker.profiles["bo"])
     assert profiles[0].tolist() == [1.0, 0.0]

@@ -70,11 +70,12 @@ def tied_cascade(rng, cascade_id, origin):
     (the store's content map or zeros stand in)."""
     c = Cascade(cascade_id, Event(0.0, "ana", rng.uniform(size=3)), [], 30.0,
                 origin=origin)
-    # appended after construction, which refuses ties
+    comments = []
     for t in np.repeat(np.round(rng.uniform(0.5, 29.5, 6), 1), 2).tolist():
         content = rng.uniform(size=3) if rng.uniform() < 0.5 else np.zeros(0)
-        c.comments.append(Event(t, "bo", content))
-    c.comments.sort(key=lambda e: e.time)
+        comments.append(Event(t, "bo", content))
+    # assigned after construction, which refuses ties, as is `append`
+    c.comments = tuple(sorted(comments, key=lambda e: e.time))
     return c
 
 

@@ -228,8 +228,9 @@ def test_write_read_write_is_byte_identical(write, read, objects):
 
 
 def number_faults(at):
-    """A value that must be a finite, nonnegative number, corrupted."""
-    return [(at, v) for v in (math.nan, math.inf, "x", -0.5)]
+    """A value that must be a finite, nonnegative number, corrupted; JSON
+    `true` is refused too, though Python counts it as 1."""
+    return [(at, v) for v in (math.nan, math.inf, "x", -0.5, True)]
 
 
 def corpus_faults(c):
@@ -489,3 +490,46 @@ def test_a_line_that_is_not_utf8_exits_3(tmp_path):
     corpus.write_bytes(b'{"cascade_id": "a", "events": [{"t": 0, "publisher": "\xff"}]}\n')
     code, err = cli_exit(["extract-features", corpus, "--out", tmp_path / "store.json"])
     assert code == 3 and err.startswith("error: ") and "line 1" in err, err
+
+
+def test_a_boolean_where_a_number_belongs_exits_3(tmp_path):
+    corpus, store = valid_inputs(tmp_path)
+    model = tmp_path / "model.json"
+    io.write_model(model, ModelParams([0.1] * 3, [0.2] * 2, [0.3] * 3, [0.4] * 2))
+    bad_corpus = tmp_path / "bool-corpus.jsonl"
+    bad_corpus.write_text(json.dumps({"cascade_id": "a", "events": [
+        {"t": 0.0, "publisher": "ana", "content_features": [True, False]}]}) + "\n")
+    record = json.loads(store.read_text())
+    record["pairs"][0][2][0] = False
+    bad_store = tmp_path / "bool-store.json"
+    bad_store.write_text(json.dumps(record))
+    record = json.loads(model.read_text())
+    record["comment_pair_weights"][1] = True
+    bad_model = tmp_path / "bool-model.json"
+    bad_model.write_text(json.dumps(record))
+    for kind, path in (("corpus", bad_corpus), ("store", bad_store), ("model", bad_model)):
+        code, err = cli_exit(command(kind, path, tmp_path))
+        assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "numbers only" in err
+    assert cli_exit(command("model", model, tmp_path))[0] == 0
+
+
+def test_a_wall_clock_without_a_zone_reads_as_utc(tmp_path):
+    def origin(wall_clock):
+        path = tmp_path / "clock.jsonl"
+        path.write_text(json.dumps({"cascade_id": "a", "events": [
+            {"t": 0.0, "publisher": "ana", "wall_clock": wall_clock}]}) + "\n")
+        return io.read_corpus(path)[0].origin
+
+    naive = origin("2024-05-01T12:00:00")
+    assert naive == origin("2024-05-01T12:00:00Z") == origin("2024-05-01T12:00:00+00:00")
+    assert naive == origin("2024-05-01T14:00:00+02:00")
+    assert naive == 1714564800 / 60  # minutes since 1970-01-01T00:00:00Z
+
+
+def test_a_number_too_large_for_a_float_exits_3(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"cascade_id": "a", "events": [{"t": 0, "publisher": "ana"}, '
+                    '{"t": 1' + "0" * 400 + ', "publisher": "bo"}]}\n')
+    code, err = cli_exit(command("corpus", path, tmp_path))
+    assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, err

@@ -629,3 +629,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["no-such-command"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+FIT = ["fit", "c.jsonl", "--features", "s.json", "--out", "m.json"]
+EVALUATE = ["evaluate", "RCHR", "--train", "a.jsonl", "--test", "b.jsonl",
+            "--out", "r.jsonl"]
+RANK = ["rank", "c.jsonl", "--model", "m.json", "--features", "s.json", "--user", "ana"]
+SIMULATE = ["simulate", "config.json", "--out", "c.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    FIT + ["--cv", "--penalty-grid", "a,b"],
+    FIT + ["--penalty", "-1"],
+    FIT + ["--penalty", "inf"],
+    FIT + ["--cv", "--penalty-grid", "0,-1"],
+    FIT + ["--cv", "--penalty-grid", "nan"],
+    FIT + ["--cv", "--penalty-grid", ""],
+    FIT + ["--tolerance", "0"],
+    FIT + ["--tolerance", "nan"],
+    FIT + ["--max-iterations", "-1"],
+    FIT + ["--post-decay", "0"],
+    FIT + ["--comment-decay", "-1"],
+    EVALUATE + ["--penalty", "-0.5"],
+    EVALUATE + ["--post-decay", "nan"],
+    RANK + ["--t", "nan"],
+    RANK + ["--t", "inf"],
+    SIMULATE + ["--seed", "-1"],
+    SIMULATE + ["--n-cascades", "2.5"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_a_numeric_flag_value_it_cannot_take_is_a_usage_error(argv, capsys):
+    # refused while parsing, before any file is opened
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {argv[-2]}: {argv[-1]!r} is not" in capsys.readouterr().err
