@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, comment_stream
+from .core import ModelParams, _time, comment_stream, event_content
 from .errors import EstimationError
-from .features import FeatureStore
+from .features import FeatureStore, annotate_corpus
 from .fit import _projected_newton, projected_gradient_norm
 from .likelihood import comment_links
 
@@ -69,12 +69,13 @@ class CoxParams:
 
 def cox_covariate(cascade, t, store, feature_indices):
     """Content of the cascade's most recent event strictly before t."""
-    events = cascade.events
-    # event times increase, so the events before t are a prefix
-    k = bisect.bisect_left(events, t - cascade.origin, key=lambda e: e.time)
-    if not k:
+    local_t = t - cascade.origin
+    if not local_t > 0.0:  # not even the post, at 0, is before t
         return np.zeros(len(feature_indices))
-    return store.event_content(cascade.cascade_id, k - 1, events[k - 1])[feature_indices]
+    # comment times increase, so the comments before t are a prefix
+    k = bisect.bisect_left(cascade.comments, local_t, key=_time)
+    return event_content(cascade.comments[k - 1] if k else cascade.post,
+                         store.content_dim)[feature_indices]
 
 
 @dataclass(eq=False)
@@ -163,7 +164,8 @@ def _cox_derivatives(weights, design):
 def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
             activity_horizon=ACTIVITY_HORIZON):
     """Maximize the concave partial likelihood from zero weights with
-    `fit`'s projected-Newton core, on `_cox_design`'s stacked risk sets.
+    `fit`'s projected-Newton core, on `_cox_design`'s stacked risk sets
+    of the corpus annotated from `store`.
 
     Separation would push weights to infinity, so they are boxed in
     [-WEIGHT_CAP, WEIGHT_CAP], with a warning when one reaches the cap.  A
@@ -176,7 +178,8 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
     feature_indices = np.asarray(feature_indices, dtype=int)
     if feature_indices.size == 0:
         raise EstimationError("no content features selected")
-    design = _cox_design(cascades, store, feature_indices, activity_horizon)
+    design = _cox_design(annotate_corpus(cascades, store), store, feature_indices,
+                         activity_horizon)
     if not design.starts.size:
         raise EstimationError("training corpus has no comments, nothing to fit")
     if np.all(design.sizes == 1):

@@ -158,7 +158,6 @@ def cmd_extract_features(args):
 def cmd_fit(args):
     cascades = io.read_corpus(args.corpus)
     store = io.read_store(args.features)
-    cascades = annotate_corpus(cascades, store)
     users = corpus_participants(cascades)
     pair_mask, content_mask = feature_set_masks(
         args.feature_set, store.pair_names, store.content_names
@@ -273,7 +272,11 @@ def cmd_evaluate(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "penalty_grid", None) and not args.cv:
+        parser.error("fit: --penalty-grid is searched only with --cv")
+    del parser  # its reference cycles (~0.4 MiB) can be freed mid-command
     try:
         return args.func(args)
     except DataFormatError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -149,6 +150,8 @@ class FeatureStore:
     character vectors and sparse directed relationship vectors and compose
     publisher-user vectors on demand.  Synthetic or custom stores can
     instead carry explicit vectors in `pairs`, keyed (user, publisher).
+    The per-event content map and `content_from_text` are read by
+    `annotate_corpus` alone, which puts each event's vector on the event.
     """
 
     pair_names: list[str]
@@ -197,20 +200,6 @@ class FeatureStore:
             self.relationship.get((publisher, user), zeros_r),
             self.relationship.get((user, publisher), zeros_r),
         ])
-
-    def event_content(self, cascade_id, index, event):
-        """Content vector for an event: its own if present, else the content
-        map, else zeros."""
-        cf = event.content_features
-        if cf.size:
-            if cf.size != self.content_dim:
-                raise ConfigError(
-                    f"event carries {cf.size} content features, store expects "
-                    f"{self.content_dim}"
-                )
-            return cf
-        v = self.content.get(content_key(cascade_id, index))
-        return v if v is not None else np.zeros(self.content_dim)
 
     def content_from_text(self, text):
         """Normalized, clamped content vector for unseen text."""
@@ -373,28 +362,28 @@ def build_feature_store(cascades, lexicon=None, users=None):
 
 
 def annotate_corpus(cascades, store):
-    """Corpus copy whose events carry normalized content vectors.
-
-    Events keep existing vectors; events with a content-map entry or text
-    get theirs filled in; everything else stays empty and reads as zeros.
-    """
+    """The corpus with each event's content vector filled in by the one
+    rule: its own vector, else the store's map entry, else the store's
+    lexicon on its text, else none (read as zeros).  Every reader, serving
+    included, takes the vector from the event, so a corpus is annotated
+    before `prioritize` or `intensity` sees it, as `rank` and `evaluate`
+    do.  A cascade with nothing to fill is returned as it is."""
+    from_text = store.lexicon is not None and store.content_bounds is not None
     out = []
     for c in cascades:
-        events = []
-        for idx, e in enumerate(c.events):
-            cf = e.content_features
-            if cf.size == 0:
-                v = store.content.get(content_key(c.cascade_id, idx))
-                if v is None and e.text is not None and store.lexicon is not None \
-                        and store.content_bounds is not None:
-                    v = store.content_from_text(e.text)
-                if v is not None:
-                    e = Event(e.time, e.publisher, np.asarray(v, dtype=float), e.text)
-            events.append(e)
-        out.append(
-            Cascade(c.cascade_id, events[0], events[1:], c.window_end,
-                    c.group_id, c.origin, c.truncated)
-        )
+        events = None
+        for idx, e in enumerate(chain((c.post,), c.comments)):
+            if e.content_features.size:
+                continue
+            v = store.content.get(content_key(c.cascade_id, idx))
+            if v is None and from_text and e.text is not None:
+                v = store.content_from_text(e.text)
+            if v is not None:
+                events = events or c.events
+                events[idx] = Event(e.time, e.publisher, np.asarray(v, dtype=float), e.text)
+        out.append(c if events is None else Cascade(
+            c.cascade_id, events[0], events[1:], c.window_end,
+            c.group_id, c.origin, c.truncated))
     return out
 
 

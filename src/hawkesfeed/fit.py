@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import ModelParams
 from .errors import EstimationError
+from .features import annotate_corpus
 from .likelihood import (
     build_corpus_terms,
     corpus_log_likelihood,
@@ -173,8 +174,10 @@ def fit(cascades, store, users, config=None, on_iterate=None):
     """Estimate the four weight vectors on a training corpus.
 
     `users` is the population whose combined non-response the compensator
-    charges; it must cover every commenter in `cascades`.  Returns a
-    FitResult whose trace is monotone non-increasing.
+    charges; it must cover every commenter in `cascades`.  The corpus is
+    annotated from `store` first (`annotate_corpus`, the one content rule;
+    serving reads the events as they are, so a served corpus needs it too).
+    Returns a FitResult whose trace is monotone non-increasing.
     """
     config = config or FitConfig()
     if not any(c.comments for c in cascades):
@@ -249,7 +252,9 @@ def cross_validate(cascades, store, users, config=None):
     prefer the larger penalty.
     """
     config = config or FitConfig()
-    ordered = sorted(cascades, key=lambda c: (c.origin, c.cascade_id))
+    # annotated once here: every fold fit and score finds its vectors filled
+    ordered = sorted(annotate_corpus(cascades, store),
+                     key=lambda c: (c.origin, c.cascade_id))
     if len(ordered) < config.cv_folds:
         raise EstimationError(
             f"{len(ordered)} cascades cannot fill {config.cv_folds} folds"

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import event_content
 from .errors import EstimationError
+from .features import annotate_corpus
 
 # Decay lengths one cumulative sum may span before it is rebased; the
 # rebased weights then stay below exp(16) and lose at most ~32 ulp.
@@ -131,9 +133,11 @@ class CommentLinks:
 def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
     """One forward pass of the exponential-kernel recursion per cascade.
 
-    With a feature `store`, the events' contents are looked up and their
-    decayed sums ride along the counts.  Every (comment, distinct earlier
-    publisher) link is kept, even when its count underflows to 0.
+    With a feature `store`, each event's own content vector (zeros where
+    it has none) and their decayed sums ride along the counts.  Like
+    serving, it reads the events as they are; its callers annotate them
+    (`annotate_corpus`, the one content rule).  Every (comment, distinct
+    earlier publisher) link is kept, even when its count underflows to 0.
     """
     ids = {}  # publisher -> index, in order of first appearance
 
@@ -152,8 +156,7 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
         post_exposure.append((1.0 - np.exp(-post_decay_rate * big_t)) / post_decay_rate)
         if store is not None:
             events = np.array([
-                store.event_content(cascade.cascade_id, i, e)
-                for i, e in enumerate(cascade.events)
+                event_content(e, store.content_dim) for e in cascade.events
             ]).reshape(len(cascade.events), store.content_dim)
             post_content.append(events[0])
         n = len(cascade.comments)
@@ -209,8 +212,10 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
 
 
 def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_rate):
+    """The design and compensator of the corpus, annotated from `store`."""
     kp = store.pair_dim
-    links = comment_links(cascades, post_decay_rate, comment_decay_rate, store)
+    links = comment_links(annotate_corpus(cascades, store), post_decay_rate,
+                          comment_decay_rate, store)
     n_events = links.n_events
     names = links.names
     n_ids = len(names)

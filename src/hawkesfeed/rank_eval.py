@@ -47,6 +47,7 @@ from .core import (
     _content_scores,
     comment_stream,
     corpus_participants,
+    event_content,
 )
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
@@ -337,19 +338,20 @@ class NNRanker(RecencyRanker):
 
     A profile is a moving average of the user's comment contents.  It
     starts from the training comments in global time order and learns
-    every absorbed comment.
+    every absorbed comment.  Like all serving it reads contents from the
+    events: it annotates its training corpus (`annotate_corpus`, the one
+    content rule), and `evaluate` annotates the corpus it serves.
     """
 
     def __init__(self, store, train_cascades=()):
         self.store = store
         self.profiles = {}
-        for _, c, i, e in comment_stream(train_cascades):
-            self._learn(c.cascade_id, i + 1, e)
+        for _, _, _, e in comment_stream(annotate_corpus(train_cascades, store)):
+            self._learn(e)
 
-    def _learn(self, cascade_id, idx, event):
-        """One moving-average step with the content of event `idx` (0 is
-        the post) of the cascade."""
-        v = np.asarray(self.store.event_content(cascade_id, idx, event), dtype=float)
+    def _learn(self, event):
+        """One moving-average step with the event's content."""
+        v = np.asarray(event_content(event, self.store.content_dim), dtype=float)
         profile = self.profiles.get(event.publisher)
         self.profiles[event.publisher] = v.copy() if profile is None else (
             (1.0 - EWMA_SMOOTHING) * profile + EWMA_SMOOTHING * v)
@@ -357,12 +359,9 @@ class NNRanker(RecencyRanker):
     def representative(self, cascade, t):
         """Mean content of the cascade's events strictly before global minute t."""
         local_t = t - cascade.origin
-        vectors = [
-            self.store.event_content(cascade.cascade_id, idx, e)
-            for idx, e in enumerate(cascade.events)
-            if e.time < local_t
-        ]
-        return np.mean(vectors, axis=0) if vectors else np.zeros(self.store.content_dim)
+        d = self.store.content_dim
+        vectors = [event_content(e, d) for e in cascade.events if e.time < local_t]
+        return np.mean(vectors, axis=0) if vectors else np.zeros(d)
 
     def rank(self, user, t, candidates):
         profile = self.profiles.get(user)
@@ -373,7 +372,7 @@ class NNRanker(RecencyRanker):
         return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
-        self._learn(cascade.cascade_id, len(cascade.comments), event)
+        self._learn(event)
 
 
 class CoxRanker:
@@ -406,21 +405,18 @@ def make_ranker(name, train_cascades, store=None, fit_config=None,
                 model_params=None):
     """Build and (when needed) fit the named ranker on a training group."""
     fit_config = fit_config or FitConfig()
+    if store is None and (name == "NN" or name.startswith(("COX-", "HWK-"))):
+        raise ConfigError(f"{name} needs a feature store")
     if name == "RCHR":
         return RecencyRanker()
     if name == "NN":
-        if store is None:
-            raise ConfigError("NN needs a feature store")
         return NNRanker(store, train_cascades)
     if name.startswith("COX-"):
-        if store is None:
-            raise ConfigError(f"{name} needs a feature store")
-        prefix = name.split("-", 1)[1].lower() + ":"
-        indices = [
-            i for i, n in enumerate(store.content_names) if n.startswith(prefix)
-        ]
-        if not indices:
-            raise ConfigError(f"no content features match {prefix!r}")
+        _, content_mask = feature_set_masks(
+            name.split("-", 1)[1].lower(), store.pair_names, store.content_names)
+        indices = np.flatnonzero(content_mask)
+        if not indices.size:
+            raise ConfigError(f"{name} selects no content features")
         params = fit_cox(train_cascades, store, indices)
         return CoxRanker(params, store)
     if name == "HWK":
@@ -431,14 +427,10 @@ def make_ranker(name, train_cascades, store=None, fit_config=None,
         )
         return PairwiseRanker(result.params)
     if name.startswith("HWK-"):
-        if store is None:
-            raise ConfigError(f"{name} needs a feature store")
         if model_params is not None:
             return IntensityRanker(model_params, store)
-        set_name = name.split("-", 1)[1].lower()
         pair_mask, content_mask = feature_set_masks(
-            set_name, store.pair_names, store.content_names
-        )
+            name.split("-", 1)[1].lower(), store.pair_names, store.content_names)
         cfg = replace(fit_config, pair_mask=pair_mask, content_mask=content_mask)
         result = fit(train_cascades, store, corpus_participants(train_cascades), cfg)
         return IntensityRanker(result.params, store)
@@ -572,10 +564,10 @@ def evaluate(ranker_name, train_cascades, test_cascades, store=None,
         if gid not in train_groups:
             raise ConfigError(f"test group {gid!r} has no training cascades")
         train = train_groups[gid]
-        known = corpus_participants(train)
+        known = set(corpus_participants(train))
         kept = []
         for c in test_groups[gid]:
-            unseen = c.participants() - set(known)
+            unseen = c.participants() - known
             if unseen:
                 warnings.warn(
                     f"dropping test cascade {c.cascade_id!r}: participants "

@@ -14,7 +14,7 @@ from hawkesfeed.baselines import (
 )
 from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
 from hawkesfeed.errors import ConfigError, EstimationError
-from hawkesfeed.features import FeatureStore, build_feature_store
+from hawkesfeed.features import DEMO_LEXICON_WORDS, FeatureStore, build_feature_store
 from hawkesfeed.fit import _full_mask
 from hawkesfeed.likelihood import (
     build_corpus_terms,
@@ -152,6 +152,29 @@ def strip_some_content(cascades, seed):
         out.append(Cascade(c.cascade_id, bare(c.post), [bare(e) for e in c.comments],
                            c.window_end, c.group_id, c.origin))
     return out
+
+
+WORDS = sorted({w for ws in DEMO_LEXICON_WORDS.values() for w in ws}
+               | {"the", "a", "post", "reply", "about", "this", "think", "agree"})
+
+
+def text_corpus(seed):
+    """A simulated corpus whose events carry seeded lexicon text instead of
+    content vectors: ten training cascades, then four test cascades."""
+    config = random_sim_config(n_users=6, pair_dim=3, content_dim=0, seed=1,
+                               horizon=3.0, n_cascades=14, origin_spacing=0.5)
+    config.seed = seed
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for c in simulate_corpus(config):
+        events = [
+            Event(e.time, e.publisher, np.zeros(0), " ".join(
+                rng.choice(WORDS, size=int(rng.integers(3, 16)))))
+            for e in c.events
+        ]
+        corpus.append(Cascade(c.cascade_id, events[0], events[1:], c.window_end,
+                              c.group_id, c.origin))
+    return corpus[:10], corpus[10:]
 
 
 def composed_store(corpus, content_dim):
@@ -313,8 +336,8 @@ def cox_covariate_scan(cascade, t, store, feature_indices):
         latest = (idx, e)
     if latest is None:
         return np.zeros(len(feature_indices))
-    idx, e = latest
-    return store.event_content(cascade.cascade_id, idx, e)[feature_indices]
+    _, e = latest
+    return event_content(e, store.content_dim)[feature_indices]
 
 
 def cox_design_loop(cascades, store, feature_indices, activity_horizon):
@@ -463,8 +486,8 @@ def cascade_representative(cascade, t, store, user=None, with_pairs=False):
     vector for the all-features variant."""
     local_t = t - cascade.origin
     vectors = [
-        store.event_content(cascade.cascade_id, idx, e)
-        for idx, e in enumerate(cascade.events)
+        event_content(e, store.content_dim)
+        for e in cascade.events
         if e.time < local_t
     ]
     content = (
@@ -504,8 +527,8 @@ def comment_profiles(cascades, store):
             rows.append((c.origin + e.time, c.cascade_id, i, e))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     profiles = {}
-    for _, cid, i, e in rows:
-        v = store.event_content(cid, i + 1, e)
+    for _, _, _, e in rows:
+        v = event_content(e, store.content_dim)
         profiles[e.publisher] = update_profile(profiles.get(e.publisher), v)
     return profiles
 

@@ -17,15 +17,8 @@ from hawkesfeed.baselines import (
     fit_cox,
 )
 from hawkesfeed.core import Cascade, Event
-from hawkesfeed.features import (
-    DEMO_LEXICON_WORDS,
-    FeatureStore,
-    build_feature_store,
-    content_key,
-    demo_lexicon,
-)
+from hawkesfeed.features import FeatureStore, build_feature_store, demo_lexicon
 from hawkesfeed.rank_eval import evaluate
-from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 from conftest import (
     cox_covariate_scan,
@@ -35,14 +28,15 @@ from conftest import (
     cox_partial_log_likelihood_loop,
     fit_cox_loop,
     random_corpus,
+    text_corpus,
 )
 
 FEATURES = np.array([0, 2])
 
 
-def content_store(dim=3, content=None):
+def content_store(dim=3):
     return FeatureStore(pair_names=[], content_names=[f"c{i}" for i in range(dim)],
-                        content=content or {}, normalized=True)
+                        normalized=True)
 
 
 def corpora():
@@ -66,8 +60,7 @@ def test_corpora_cover_small_and_pairwise_summed_risk_sets():
 
 
 def tied_cascade(rng, cascade_id, origin):
-    """A cascade whose comments hold exact time ties, some without content
-    (the store's content map or zeros stand in)."""
+    """A cascade whose comments hold exact time ties, some without content."""
     c = Cascade(cascade_id, Event(0.0, "ana", rng.uniform(size=3)), [], 30.0,
                 origin=origin)
     comments = []
@@ -84,11 +77,14 @@ def test_cox_covariate_matches_the_linear_scan():
     cascades = random_corpus(n_cascades=6, seed=3, content_dim=3,
                              origin_spacing=7.5, mean_comments=6)
     cascades += [tied_cascade(rng, f"tie{i}", 4.0 * i) for i in range(4)]
-    content = {
-        content_key(c.cascade_id, i): rng.uniform(size=3)
-        for c in cascades for i in range(len(c.events)) if rng.uniform() < 0.5
-    }
-    store = content_store(content=content)
+    # what a content map would fill in, set on the events directly: the
+    # tied cascades cannot pass the constructor annotate_corpus rebuilds
+    # them with; the rest read zeros
+    for c in cascades:
+        for e in c.events:
+            if not e.content_features.size and rng.uniform() < 0.5:
+                e.content_features = rng.uniform(size=3)
+    store = content_store()
     checked = 0
     for c in cascades:
         last = c.last_event_global()
@@ -202,29 +198,6 @@ def test_fit_cox_leaves_a_feature_constant_in_every_risk_set_at_zero(fill):
         assert abs(value - want) <= 1e-12 * abs(want)
         np.testing.assert_allclose(params.weights[FEATURES], without.weights,
                                    rtol=1e-6)
-
-
-WORDS = sorted({w for ws in DEMO_LEXICON_WORDS.values() for w in ws}
-               | {"the", "a", "post", "reply", "about", "this", "think", "agree"})
-
-
-def text_corpus(seed):
-    """A simulated corpus whose events carry seeded lexicon text instead of
-    content vectors: ten training cascades, then four test cascades."""
-    config = random_sim_config(n_users=6, pair_dim=3, content_dim=0, seed=1,
-                               horizon=3.0, n_cascades=14, origin_spacing=0.5)
-    config.seed = seed
-    rng = np.random.default_rng(seed)
-    corpus = []
-    for c in simulate_corpus(config):
-        events = [
-            Event(e.time, e.publisher, np.zeros(0), " ".join(
-                rng.choice(WORDS, size=int(rng.integers(3, 16)))))
-            for e in c.events
-        ]
-        corpus.append(Cascade(c.cascade_id, events[0], events[1:], c.window_end,
-                              c.group_id, c.origin))
-    return corpus[:10], corpus[10:]
 
 
 @pytest.mark.parametrize("seed", range(10))

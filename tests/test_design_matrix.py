@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from hawkesfeed.features import FeatureStore, content_key
+from hawkesfeed.core import event_content
+from hawkesfeed.features import FeatureStore, annotate_corpus, content_key
 from hawkesfeed.likelihood import (
     build_corpus_terms,
     flat_weights,
@@ -30,9 +31,8 @@ def pair_oracle(cascades, params, store, users):
     lams, loglik, grad = [], 0.0, np.zeros(theta.size)
     for cascade in cascades:
         post = cascade.post
-        d0 = store.event_content(cascade.cascade_id, 0, post)
-        contents = [store.event_content(cascade.cascade_id, i + 1, c)
-                    for i, c in enumerate(cascade.comments)]
+        d0 = event_content(post, store.content_dim)
+        contents = [event_content(c, store.content_dim) for c in cascade.comments]
         big_t = cascade.window_end
         for i, ci in enumerate(cascade.comments):
             decay = math.exp(-wm * ci.time)
@@ -79,7 +79,10 @@ def long_cascade(cascade_id, n, seed, window_end=60.0, content_dim=2):
 def assert_matches_oracle(cascades, params, store):
     terms = build_corpus_terms(cascades, store, USERS, params.post_decay_rate,
                                params.comment_decay_rate)
-    lam_ref, ll_ref, grad_ref = pair_oracle(cascades, params, store, USERS)
+    # the oracle reads each event's own vector, so it sees the corpus as
+    # build_corpus_terms annotates it
+    lam_ref, ll_ref, grad_ref = pair_oracle(annotate_corpus(cascades, store),
+                                            params, store, USERS)
     theta = flat_weights(params)
     lam = terms.design @ theta
     value, grad, _ = log_likelihood_derivatives(terms, theta)

@@ -1,9 +1,13 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesfeed.core import Event
+from hawkesfeed.baselines import fit_cox
+from hawkesfeed.core import Cascade, Event
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.features import (
     CHARACTER_FEATURES,
@@ -20,6 +24,9 @@ from hawkesfeed.features import (
     table_pair_manifest,
     tokenize,
 )
+from hawkesfeed.fit import FitConfig, cross_validate, fit
+from hawkesfeed.likelihood import corpus_log_likelihood, flat_weights
+from hawkesfeed.rank_eval import NNRanker
 
 from conftest import (
     USERS,
@@ -27,6 +34,7 @@ from conftest import (
     make_cascade,
     random_corpus,
     relationship_features,
+    text_corpus,
 )
 
 
@@ -249,16 +257,19 @@ def test_direct_pairs_take_priority():
     assert store.pair_vector("p", "u")[0] == 0.0
 
 
-def test_event_content_prefers_own_vector_then_map():
+def test_annotate_corpus_keeps_an_own_vector_then_takes_the_map():
     store = FeatureStore(
         pair_names=["p0"], content_names=["c0", "c1"],
-        content={"c:1": np.array([0.1, 0.2])},
+        content={"c:0": np.array([0.3, 0.4]), "c:1": np.array([0.1, 0.2])},
     )
-    carried = Event(1.0, "u", np.array([0.9, 0.8]))
-    bare = Event(1.0, "u")
-    assert np.array_equal(store.event_content("c", 1, carried), [0.9, 0.8])
-    assert np.array_equal(store.event_content("c", 1, bare), [0.1, 0.2])
-    assert np.array_equal(store.event_content("c", 7, bare), [0.0, 0.0])
+    carried = Cascade("c", Event(0.0, "u", np.array([0.9, 0.8])),
+                      [Event(1.0, "v")], 30.0)
+    bare = Cascade("d", Event(0.0, "u"), [Event(1.0, "v")], 30.0)
+    out, untouched = annotate_corpus([carried, bare], store)
+    assert np.array_equal(out.post.content_features, [0.9, 0.8])
+    assert np.array_equal(out.comments[0].content_features, [0.1, 0.2])
+    # nothing to fill: the very same cascade comes back
+    assert untouched is bare and bare.comments[0].content_features.size == 0
 
 
 def test_annotate_corpus_fills_event_vectors():
@@ -275,6 +286,54 @@ def test_annotate_corpus_fills_event_vectors():
     assert np.array_equal(out.comments[0].content_features, store.content["A:1"])
     # the original corpus is untouched
     assert c.post.content_features.size == 0
+
+
+# Every reader takes an event's content from the event, and the entry points
+# that fit from a corpus annotate it first: on text the store was not
+# extracted from, a raw corpus and its annotated copy give the same fit.
+
+
+def held_out_text(seed):
+    train, test = text_corpus(seed)
+    store = build_feature_store(train, lexicon=demo_lexicon())
+    return test, annotate_corpus(test, store), store
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_fit_likelihood_and_cv_read_text_the_store_never_saw(seed):
+    raw, annotated, store = held_out_text(seed)
+    users = sorted({u for c in raw for u in c.participants()})
+    config = FitConfig(post_decay_rate=0.1, comment_decay_rate=1.0)
+    got = fit(raw, store, users, config).params
+    want = fit(annotated, store, users, config).params
+    assert np.array_equal(flat_weights(got), flat_weights(want))
+    assert got.post_content_weights.any() or got.comment_content_weights.any()
+    assert (corpus_log_likelihood(raw, want, store, users)
+            == corpus_log_likelihood(annotated, want, store, users))
+    cv = replace(config, penalty_grid=(0.0, 1.0), cv_folds=2, max_iterations=20)
+    assert (cross_validate(raw, store, users, cv).table
+            == cross_validate(annotated, store, users, cv).table)
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_fit_cox_reads_text_the_store_never_saw(seed):
+    raw, annotated, store = held_out_text(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a weight may reach the cap
+        got, want = fit_cox(raw, store), fit_cox(annotated, store)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.weights.any()
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_nn_profiles_read_text_the_store_never_saw(seed):
+    raw, annotated, store = held_out_text(seed)
+    got = NNRanker(store, raw).profiles
+    want = NNRanker(store, annotated).profiles
+    assert got.keys() == want.keys() and got
+    for user, profile in want.items():
+        assert np.array_equal(got[user], profile)
+        assert profile.any()
 
 
 # -------------------------------------------------------------- feature sets

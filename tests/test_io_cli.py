@@ -663,3 +663,11 @@ def test_a_numeric_flag_value_it_cannot_take_is_a_usage_error(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert f"argument {argv[-2]}: {argv[-1]!r} is not" in capsys.readouterr().err
+
+
+def test_a_penalty_grid_without_cv_is_a_usage_error(capsys):
+    # only --cv searches a grid; a fit at --penalty would ignore it
+    with pytest.raises(SystemExit) as err:
+        main(FIT + ["--penalty-grid", "0,5"])
+    assert err.value.code == 2
+    assert "--penalty-grid is searched only with --cv" in capsys.readouterr().err

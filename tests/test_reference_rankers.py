@@ -5,15 +5,16 @@ The oracles (`rank_rchr`, `rank_nn`, `rank_cox`, `comment_profiles`,
 `update_profile`, `cascade_representative`) are kept in conftest.  Corpora
 sit on whole minutes and draw contents from {0, 0.5, 1}, so recency,
 profile distances and linear scores tie exactly and the tie-break is
-exercised.  Some events carry no content and read the store's content
-map, or zeros where it has none.
+exercised.  Some events carry no content: the store's content map fills
+most of them, through `annotate_corpus` as `evaluate` does, and the rest
+read zeros.
 """
 
 import numpy as np
 
 from hawkesfeed.baselines import CoxParams, _recency_key, cox_covariate
-from hawkesfeed.core import comment_stream
-from hawkesfeed.features import FeatureStore, content_key
+from hawkesfeed.core import comment_stream, event_content
+from hawkesfeed.features import FeatureStore, annotate_corpus, content_key
 from hawkesfeed.rank_eval import CoxRanker, NNRanker, RecencyRanker, evaluate_group
 
 from conftest import (
@@ -88,6 +89,8 @@ def replay_against_oracles(seed):
                if not e.content_features.size and rng.uniform() < 0.7}
     store = FeatureStore(pair_names=[], content_names=["c0", "c1"],
                          content=content, normalized=True)
+    # the replays serve and absorb the events' own vectors
+    test = annotate_corpus(test, store)
     recency_scores = lambda u, t, cs: [_recency_key(c, t) for c in cs]
 
     recency = Checked(RecencyRanker(), lambda u, t, cs: rank_rchr(cs, t),
@@ -103,7 +106,7 @@ def replay_against_oracles(seed):
     evaluate_group(cox, test)
 
     nn = NNRanker(store, train)
-    profiles = comment_profiles(train, store)
+    profiles = comment_profiles(annotate_corpus(train, store), store)
     assert_same_profiles(nn.profiles, profiles)
 
     def nn_scores(user, t, cascades):
@@ -122,7 +125,7 @@ def replay_against_oracles(seed):
 
         def absorb(self, cascade, event, t):
             super().absorb(cascade, event, t)
-            v = store.event_content(cascade.cascade_id, len(cascade.comments), event)
+            v = event_content(event, store.content_dim)
             profiles[event.publisher] = update_profile(profiles.get(event.publisher), v)
             assert_same_profiles(nn.profiles, profiles)
 

@@ -1,6 +1,8 @@
-"""Smoke runs of the example scripts named in the README."""
+"""Smoke runs of the README's code examples and the scripts it names."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -22,3 +24,13 @@ def test_run_synthetic_compares_every_default_ranker():
     assert done.returncode == 0, done.stderr
     rows = {line.split()[0] for line in done.stdout.splitlines() if line.strip()}
     assert {"RCHR", "NN", "HWK", "HWK-ALL"} <= rows
+
+
+def test_readme_library_use_runs(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"Library use mirrors the CLI:\n\n```python\n(.*?)```",
+                      readme, re.S)
+    assert block, "README has no library-use example"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))
