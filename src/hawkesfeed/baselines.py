@@ -7,8 +7,8 @@ themselves, recency (RCHR), nearest profile (NN), COX and HWK, are the
 classes in `rank_eval`.
 
 All rankers produce a total order over whichever candidate cascades they
-are handed; ties are broken by most-recent event time (newest first) and
-then cascade id, the same policy the main model uses.
+are handed; ties are broken by the most recent event before t (newest
+first) and then cascade id, the same policy the main model uses.
 `PairwiseHawkesParams.as_feature_model` restates HWK as the feature model
 with its features taken out, so it is served on the feature model's
 streaming state.
@@ -16,41 +16,37 @@ streaming state.
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _time, comment_stream, event_content
+from .core import ACTIVITY_HORIZON, ModelParams, comment_stream, event_content
 from .errors import EstimationError
 from .features import FeatureStore, annotate_corpus
 from .fit import _projected_newton, projected_gradient_norm
 from .likelihood import comment_links
 
-ACTIVITY_HORIZON = 720.0  # minutes; a cascade is active this long after its last event
-
-
-def _recency_key(cascade, t):
-    last = cascade.last_event_global(before=t)
-    return -np.inf if last is None else last
-
 
 def order_candidates(cascades, scores, t):
     """Descending score, ties by recency before t descending, then id.
 
-    Recency is read only for cascades whose score ties another's.
+    Recency is the global minute of `Cascade.latest_before(t)`, read only
+    for cascades whose score ties another's; a cascade with no event
+    before t is the least recent.
     """
     if len(set(scores)) == len(scores):  # no ties: the score alone orders them
         return [cascades[i] for i in
                 sorted(range(len(scores)), key=scores.__getitem__, reverse=True)]
     counts = Counter(scores)
+
+    def newest_first(c):
+        last = c.latest_before(t)
+        return np.inf if last is None else -(c.origin + last.time)
+
     rows = sorted(zip(scores, cascades), key=lambda sc: (
-        -sc[0],
-        -_recency_key(sc[1], t) if counts[sc[0]] > 1 else 0.0,
-        sc[1].cascade_id,
-    ))
+        -sc[0], newest_first(sc[1]) if counts[sc[0]] > 1 else 0.0, sc[1].cascade_id))
     return [c for _, c in rows]
 
 
@@ -67,15 +63,17 @@ class CoxParams:
     feature_indices: np.ndarray  # columns of the store content manifest in use
 
 
-def cox_covariate(cascade, t, store, feature_indices):
-    """Content of the cascade's most recent event strictly before t."""
-    local_t = t - cascade.origin
-    if not local_t > 0.0:  # not even the post, at 0, is before t
+def _covariate(event, store, feature_indices):
+    # the selected content of `event`; zeros for no event
+    if event is None:
         return np.zeros(len(feature_indices))
-    # comment times increase, so the comments before t are a prefix
-    k = bisect.bisect_left(cascade.comments, local_t, key=_time)
-    return event_content(cascade.comments[k - 1] if k else cascade.post,
-                         store.content_dim)[feature_indices]
+    return event_content(event, store.content_dim)[feature_indices]
+
+
+def cox_covariate(cascade, t, store, feature_indices):
+    """Content of the cascade's latest event strictly before global minute t
+    (`Cascade.latest_before`), zeros for none: a comment is never its own."""
+    return _covariate(cascade.latest_before(t), store, feature_indices)
 
 
 @dataclass(eq=False)
@@ -103,25 +101,23 @@ class _CoxDesign:
 def _cox_design(cascades, store, feature_indices, activity_horizon):
     """The stacked risk sets of every observed comment, in time order.
 
-    The risk set holds cascades initiated before the comment and active
-    (last event within the horizon); the comment's own cascade is always
-    included so every term is well defined.  Returns a `_CoxDesign`: the
-    risk sets' covariate rows stacked comment by comment, in corpus order
-    within a risk set, with each risk set's start and target row.
+    A comment at global minute t has in its risk set the cascades whose
+    latest event before t (one `Cascade.latest_before` per cascade) is at
+    most the horizon old, and always its own cascade.  A row is that
+    event's content, so a comment is never its own covariate.  Returns a
+    `_CoxDesign`: the risk sets' rows stacked comment by comment, in
+    corpus order within a risk set, with each risk set's start and target.
     """
     rows, starts, segment, targets = [], [], [], []
     for i, (t, target, _, _) in enumerate(comment_stream(cascades)):
         starts.append(len(rows))
-        target_id = target.cascade_id
         for c in cascades:
-            if c.cascade_id == target_id:
+            last = c.latest_before(t)
+            if c is target:
                 targets.append(len(rows))
-            else:
-                last = c.last_event_global(before=t)
-                if not (c.origin < t and last is not None
-                        and t - last <= activity_horizon):
-                    continue
-            rows.append(cox_covariate(c, t, store, feature_indices))
+            elif last is None or t - (c.origin + last.time) > activity_horizon:
+                continue
+            rows.append(_covariate(last, store, feature_indices))
             segment.append(i)
     return _CoxDesign(
         rows=np.array(rows, dtype=float).reshape(len(rows), len(feature_indices)),

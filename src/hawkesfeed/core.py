@@ -33,6 +33,11 @@ and a content matrix), built on first read for the tuple in place and
 rebuilt whenever another tuple takes its place, so they never go stale.
 `rank_eval.prioritize` scores from the columns; `states_at`, the exact
 reference, reads the events.
+
+`Cascade.latest_before` is the one rule for what a cascade did before a
+global minute t (`origin + time < t`), so a comment is never its own
+covariate.  Every cross-cascade reader asks it; the intensity scorers
+stay on the relative axis, fed shadows that hold only earlier events.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .errors import ConfigError
 
 # Minutes added to the later of two exactly tied event times at ingestion.
 TIE_SHIFT = 1e-6
+ACTIVITY_HORIZON = 720.0  # minutes a cascade stays active after its latest event
 
 _time = attrgetter("time")
 _content = attrgetter("content_features")
@@ -93,8 +99,9 @@ class Cascade:
     """One post and its strictly time-ordered comments in a window [0, window_end).
 
     `origin` is the wall-clock minute at which the post appeared.  It is
-    bookkeeping for cross-cascade work (candidate sets, recency ranking)
-    and never enters within-cascade math, which stays on the relative axis.
+    bookkeeping for cross-cascade work (candidate sets, recency ranking,
+    all through `latest_before`) and never enters within-cascade math,
+    which stays on the relative axis.
 
     `comments` is stored as a tuple, so it cannot change in place: the
     way to add a comment is `append`, which checks it and puts a new tuple
@@ -161,24 +168,21 @@ class Cascade:
     def participants(self):
         return {e.publisher for e in self.events}
 
-    def last_event_global(self, before=None):
-        """Wall-clock minute of the latest event, optionally strictly before `before`.
+    def latest_before(self, t):
+        """The latest event whose global minute `origin + time` is strictly
+        below t, or None: the one rule for what a cascade did before t.
 
-        Returns None when no event qualifies.  Event times increase, so the
-        comments that qualify are a prefix: all of them when the newest
-        does, else found by bisection.
+        The events that qualify are a prefix: all of them when the newest
+        comment does, else found by bisection.
         """
+        comments, origin = self.comments, self.origin
         # a replay only ever asks after the newest comment: skip the bisection
-        if before is None or (self.comments
-                              and self.origin + self.comments[-1].time < before):
-            k = len(self.comments)
-        else:
-            k = bisect.bisect_left(self.comments, before,
-                                   key=lambda e: self.origin + e.time)
+        if comments and origin + comments[-1].time < t:
+            return comments[-1]
+        k = bisect.bisect_left(comments, t, key=lambda e: origin + e.time)
         if k:
-            return self.origin + self.comments[k - 1].time
-        t = self.origin + self.post.time
-        return t if before is None or t < before else None
+            return comments[k - 1]
+        return self.post if origin + self.post.time < t else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,8 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .baselines import ACTIVITY_HORIZON
-from .core import Cascade, Event, ModelParams, separate_ties
+from .core import ACTIVITY_HORIZON, Cascade, Event, ModelParams, separate_ties
 from .errors import ConfigError, DataFormatError
 from .features import CHARACTER_FEATURES, RELATIONSHIP_FEATURES, FeatureStore, Lexicon
 from .rank_eval import GroupMetrics, RankReport

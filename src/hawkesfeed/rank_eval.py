@@ -34,14 +34,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import (
-    ACTIVITY_HORIZON,
-    cox_covariate,
-    fit_cox,
-    fit_hwk_em,
-    order_candidates,
-)
+from .baselines import cox_covariate, fit_cox, fit_hwk_em, order_candidates
 from .core import (
+    ACTIVITY_HORIZON,
     Cascade,
     JumpTable,
     _content_scores,
@@ -216,8 +211,8 @@ def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORI
         if not c.origin < t < c.origin + c.window_end:
             continue
         if policy == "active":
-            last = c.last_event_global(before=t)
-            if last is None or t - last > activity_horizon:
+            last = c.latest_before(t)
+            if last is None or t - (c.origin + last.time) > activity_horizon:
                 continue
         out.append(c)
     return out
@@ -313,16 +308,15 @@ class IntensityRanker:
 
 class RecencyRanker:
     """Most recently active first, among events strictly before t, then by
-    id; each cascade's recency is read once."""
+    id: `order_candidates` over the global minute of each cascade's
+    `latest_before(t)`, -inf for a cascade with none."""
 
     def rank(self, user, t, candidates):
-        rows = []
-        for i, c in enumerate(candidates):
-            last = c.last_event_global(before=t)
-            # the position i is unique, so sorting never compares cascades
-            rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
-        rows.sort()
-        return [row[3] for row in rows]
+        scores = []
+        for c in candidates:
+            last = c.latest_before(t)
+            scores.append(-math.inf if last is None else c.origin + last.time)
+        return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
         pass
@@ -340,7 +334,9 @@ class NNRanker(RecencyRanker):
     starts from the training comments in global time order and learns
     every absorbed comment.  Like all serving it reads contents from the
     events: it annotates its training corpus (`annotate_corpus`, the one
-    content rule), and `evaluate` annotates the corpus it serves.
+    content rule), and `evaluate` annotates the corpus it serves.  A
+    cascade's mean runs over its events up to `Cascade.latest_before(t)`,
+    so a comment landing at t is never part of it.
     """
 
     def __init__(self, store, train_cascades=()):
@@ -358,10 +354,12 @@ class NNRanker(RecencyRanker):
 
     def representative(self, cascade, t):
         """Mean content of the cascade's events strictly before global minute t."""
-        local_t = t - cascade.origin
-        d = self.store.content_dim
-        vectors = [event_content(e, d) for e in cascade.events if e.time < local_t]
-        return np.mean(vectors, axis=0) if vectors else np.zeros(d)
+        d, last = self.store.content_dim, cascade.latest_before(t)
+        if last is None:
+            return np.zeros(d)
+        events = cascade.events  # those before t are the prefix ending at `last`
+        return np.mean([event_content(e, d) for e in events[:events.index(last) + 1]],
+                       axis=0)
 
     def rank(self, user, t, candidates):
         profile = self.profiles.get(user)

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from hawkesfeed.baselines import (
-    ACTIVITY_HORIZON,
     WEIGHT_CAP,
     CoxParams,
     _PairDesign,
     cox_covariate,
     order_candidates,
 )
-from hawkesfeed.core import Cascade, Event, IntensityState, ModelParams, event_content
+from hawkesfeed.core import (
+    ACTIVITY_HORIZON,
+    Cascade,
+    Event,
+    IntensityState,
+    ModelParams,
+    event_content,
+)
 from hawkesfeed.errors import ConfigError, EstimationError
 from hawkesfeed.features import DEMO_LEXICON_WORDS, FeatureStore, build_feature_store
 from hawkesfeed.fit import _full_mask
@@ -319,25 +325,46 @@ def scratch_state_at(user, cascade, t, params, store):
     return IntensityState(user, cascade.cascade_id, a, b, t)
 
 
+# What a cascade did before a global minute t, by a plain scan over every
+# event: the oracle for `Cascade.latest_before` and every reader of it.
+
+
+def latest_before_scan(cascade, t):
+    """The cascade's latest event whose global minute is strictly before t,
+    or None."""
+    latest = None
+    for e in cascade.events:
+        if cascade.origin + e.time >= t:
+            break
+        latest = e
+    return latest
+
+
+def recency_scan(cascade, t):
+    """Global minute of the cascade's latest event strictly before t; -inf
+    when there is none."""
+    latest = latest_before_scan(cascade, t)
+    return -math.inf if latest is None else cascade.origin + latest.time
+
+
 # The proportional-rates baseline as it was before its risk sets were
 # stacked: a linear scan for the covariate, a list of (rows, target) pairs
-# per comment and a Python loop over them per evaluation.  Kept verbatim
-# as the oracle for `cox_covariate`, `_cox_design`, the partial likelihood,
-# its gradient and `fit_cox`.
+# per comment and a Python loop over them per evaluation.  Kept as the
+# oracle for `cox_covariate`, `_cox_design`, the partial likelihood, its
+# gradient and `fit_cox`, with one correction: the covariate and the risk
+# sets read what each cascade did strictly before the comment's global
+# minute.  The scan once compared relative minutes (`time < t - origin`),
+# and since `(origin + x) - origin` may round above x, a comment could be
+# its own covariate.
 
 
 def cox_covariate_scan(cascade, t, store, feature_indices):
-    """Content of the cascade's most recent event strictly before t."""
-    local_t = t - cascade.origin
-    latest = None
-    for idx, e in enumerate(cascade.events):
-        if e.time >= local_t:
-            break
-        latest = (idx, e)
+    """Content of the cascade's most recent event strictly before global
+    minute t."""
+    latest = latest_before_scan(cascade, t)
     if latest is None:
         return np.zeros(len(feature_indices))
-    _, e = latest
-    return event_content(e, store.content_dim)[feature_indices]
+    return event_content(latest, store.content_dim)[feature_indices]
 
 
 def cox_design_loop(cascades, store, feature_indices, activity_horizon):
@@ -360,10 +387,8 @@ def cox_design_loop(cascades, store, feature_indices, activity_horizon):
             if c.cascade_id == target_id:
                 in_risk = True
             else:
-                last = c.last_event_global(before=t)
-                in_risk = (
-                    c.origin < t and last is not None and t - last <= activity_horizon
-                )
+                last = recency_scan(c, t)
+                in_risk = c.origin < t and t - last <= activity_horizon
             if in_risk:
                 if c.cascade_id == target_id:
                     target_row = len(rows)
@@ -454,8 +479,9 @@ def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
 # The recency, nearest-profile and proportional-rates rankers as they were
 # before `RecencyRanker`, `NNRanker` and `CoxRanker` did their own scoring:
 # module functions the classes forwarded to, plus the training-profile
-# builder.  Kept verbatim, with the profile constant, as the oracle for
-# the classes' orders and profiles.
+# builder.  Kept with the profile constant, and with "before t" read on
+# the global clock (`recency_scan`, the representative's filter), as the
+# oracle for the classes' orders and profiles.
 
 
 def rank_rchr(cascades, t):
@@ -463,9 +489,8 @@ def rank_rchr(cascades, t):
     id; each cascade's recency is read once."""
     rows = []
     for i, c in enumerate(cascades):
-        last = c.last_event_global(before=t)
         # the position i is unique, so sorting never compares cascades
-        rows.append((math.inf if last is None else -last, c.cascade_id, i, c))
+        rows.append((-recency_scan(c, t), c.cascade_id, i, c))
     rows.sort()
     return [row[3] for row in rows]
 
@@ -481,14 +506,13 @@ def update_profile(profile, vector, smoothing=EWMA_SMOOTHING):
 
 
 def cascade_representative(cascade, t, store, user=None, with_pairs=False):
-    """Mean content of the cascade's events strictly before relative time
-    t - origin; optionally prefixed with the (user, post publisher) pair
-    vector for the all-features variant."""
-    local_t = t - cascade.origin
+    """Mean content of the cascade's events strictly before global minute t;
+    optionally prefixed with the (user, post publisher) pair vector for the
+    all-features variant."""
     vectors = [
         event_content(e, store.content_dim)
         for e in cascade.events
-        if e.time < local_t
+        if cascade.origin + e.time < t
     ]
     content = (
         np.mean(vectors, axis=0) if vectors else np.zeros(store.content_dim)

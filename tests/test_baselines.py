@@ -6,7 +6,6 @@ import pytest
 
 from hawkesfeed.baselines import (
     CoxParams,
-    _recency_key,
     cox_covariate,
     cox_partial_log_likelihood,
     _cox_design,
@@ -20,7 +19,13 @@ from hawkesfeed.errors import EstimationError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.rank_eval import CoxRanker, NNRanker, PairwiseRanker, RecencyRanker
 
-from conftest import hwk_intensity, hwk_log_likelihood, make_cascade, random_corpus
+from conftest import (
+    hwk_intensity,
+    hwk_log_likelihood,
+    make_cascade,
+    random_corpus,
+    recency_scan,
+)
 
 
 def content_store(dim=1):
@@ -65,7 +70,7 @@ def test_rchr_breaks_exact_ties_by_id():
 
 def rchr_by_sort_key(cascades, t):
     """Recency as it once was: one `sorted` over a per-call recency key."""
-    return sorted(cascades, key=lambda c: (-_recency_key(c, t), c.cascade_id))
+    return sorted(cascades, key=lambda c: (-recency_scan(c, t), c.cascade_id))
 
 
 def test_rchr_equals_the_sort_key_order():
@@ -82,7 +87,7 @@ def test_rchr_equals_the_sort_key_order():
         events = sorted({c.origin + e.time for c in cascades for e in c.events})
         for t in [*events, *(x - 0.5 for x in events), events[-1] + 1.0]:
             assert rchr(cascades, t) == rchr_by_sort_key(cascades, t)
-            keys = [_recency_key(c, t) for c in cascades]
+            keys = [recency_scan(c, t) for c in cascades]
             ties += len(set(keys)) < len(keys)
             late += any(c.comments and c.origin + c.comments[-1].time >= t
                         for c in cascades)

@@ -25,6 +25,7 @@ from conftest import (
     USERS,
     comment_influence,
     direct_store,
+    latest_before_scan,
     make_cascade,
     make_params,
     post_influence,
@@ -78,18 +79,7 @@ def test_participants_and_corpus_participants():
 
 
 
-def linear_last_event(cascade, before=None):
-    """The plain scan over every event that last_event_global replaces."""
-    last = None
-    for e in cascade.events:
-        t = cascade.origin + e.time
-        if before is not None and t >= before:
-            break
-        last = t
-    return last
-
-
-def test_last_event_global_matches_linear_scan():
+def test_latest_before_matches_linear_scan():
     rng = np.random.default_rng(11)
     for k in range(200):
         n = int(rng.integers(0, 12))
@@ -98,13 +88,12 @@ def test_last_event_global_matches_linear_scan():
         c = make_cascade([(float(t), "bo") for t in times], cascade_id=f"c{k}",
                          window_end=10.0, origin=origin)
         instants = [origin + e.time for e in c.events]
-        queries = [None, origin, origin - 1.0, np.nextafter(origin, np.inf),
+        queries = [origin, origin - 1.0, np.nextafter(origin, np.inf),
                    origin + 20.0, np.nextafter(instants[-1], np.inf), *instants,
                    *(np.nextafter(t, -np.inf) for t in instants),
                    *rng.uniform(origin - 1.0, origin + 11.0, size=5)]
-        for before in queries:
-            assert c.last_event_global(before) == linear_last_event(c, before), (
-                k, before)
+        for t in queries:
+            assert c.latest_before(t) is latest_before_scan(c, t), (k, t)
 
 
 # ------------------------------------------------------------- tie separation

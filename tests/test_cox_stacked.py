@@ -87,7 +87,7 @@ def test_cox_covariate_matches_the_linear_scan():
     store = content_store()
     checked = 0
     for c in cascades:
-        last = c.last_event_global()
+        last = c.origin + c.events[-1].time
         times = [c.origin + e.time for e in c.events]
         probes = (
             times                                    # exactly at an event

@@ -12,7 +12,7 @@ read zeros.
 
 import numpy as np
 
-from hawkesfeed.baselines import CoxParams, _recency_key, cox_covariate
+from hawkesfeed.baselines import CoxParams, cox_covariate
 from hawkesfeed.core import comment_stream, event_content
 from hawkesfeed.features import FeatureStore, annotate_corpus, content_key
 from hawkesfeed.rank_eval import CoxRanker, NNRanker, RecencyRanker, evaluate_group
@@ -25,6 +25,7 @@ from conftest import (
     rank_cox,
     rank_nn,
     rank_rchr,
+    recency_scan,
     strip_some_content,
     update_profile,
 )
@@ -91,7 +92,7 @@ def replay_against_oracles(seed):
                          content=content, normalized=True)
     # the replays serve and absorb the events' own vectors
     test = annotate_corpus(test, store)
-    recency_scores = lambda u, t, cs: [_recency_key(c, t) for c in cs]
+    recency_scores = lambda u, t, cs: [recency_scan(c, t) for c in cs]
 
     recency = Checked(RecencyRanker(), lambda u, t, cs: rank_rchr(cs, t),
                       recency_scores)

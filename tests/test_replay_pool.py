@@ -11,12 +11,13 @@ sort key serve.
 import numpy as np
 import pytest
 
-from hawkesfeed import baselines, rank_eval
+from hawkesfeed import rank_eval
 from hawkesfeed.baselines import order_candidates
+from hawkesfeed.core import Cascade
 from hawkesfeed.rank_eval import RecencyRanker, candidate_cascades, evaluate_group
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
-from conftest import make_cascade
+from conftest import make_cascade, recency_scan
 
 
 def replay_half(n_cascades, seed=3):
@@ -98,8 +99,8 @@ def tied_corpus(seed):
 
 def test_lazy_tie_break_gives_the_full_key_order(monkeypatch):
     calls = []
-    real = baselines._recency_key
-    monkeypatch.setattr(baselines, "_recency_key",
+    real = Cascade.latest_before
+    monkeypatch.setattr(Cascade, "latest_before",
                         lambda c, t: calls.append(c) or real(c, t))
     for seed in range(20):
         cascades = tied_corpus(seed)
@@ -107,8 +108,8 @@ def test_lazy_tie_break_gives_the_full_key_order(monkeypatch):
         scores = rng.choice([0.0, 0.25, 1.5, 2.0], size=len(cascades)).tolist()
         for t in (4.5, 7.5, 20.0):  # before some newest comments, and after all
             want = sorted(zip(cascades, scores), key=lambda cs: (
-                -cs[1], -real(cs[0], t), cs[0].cascade_id))
-            recency = {real(c, t) for c in cascades}
+                -cs[1], -recency_scan(cs[0], t), cs[0].cascade_id))
+            recency = {recency_scan(c, t) for c in cascades}
             assert len(recency) < len(cascades)  # recency ties too
             calls.clear()
             assert order_candidates(cascades, scores, t) == [c for c, _ in want]
@@ -117,8 +118,8 @@ def test_lazy_tie_break_gives_the_full_key_order(monkeypatch):
 
 def test_distinct_scores_read_no_recency(monkeypatch):
     calls = []
-    monkeypatch.setattr(baselines, "_recency_key",
-                        lambda c, t: calls.append(c) or 0.0)
+    monkeypatch.setattr(Cascade, "latest_before",
+                        lambda c, t: calls.append(c) or None)
     cascades = tied_corpus(0)
     scores = np.random.default_rng(1).permutation(len(cascades)).astype(float)
     served = order_candidates(cascades, scores.tolist(), 9.0)
