@@ -8,6 +8,7 @@ from .core import (
     JumpTable,
     ModelParams,
     absorb_event,
+    candidate_cascades,
     corpus_participants,
     decay_state,
     intensity,
@@ -36,7 +37,6 @@ from .rank_eval import (
     GroupMetrics,
     IntensityRanker,
     RankReport,
-    candidate_cascades,
     evaluate,
     evaluate_group,
     make_ranker,

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ACTIVITY_HORIZON, ModelParams, comment_stream, event_content
+from .core import (
+    ACTIVITY_HORIZON,
+    ModelParams,
+    candidate_cascades,
+    event_content,
+    in_play_order,
+    walk_minutes,
+)
 from .errors import EstimationError
 from .features import FeatureStore, annotate_corpus
 from .fit import _projected_newton, projected_gradient_norm
@@ -101,24 +108,27 @@ class _CoxDesign:
 def _cox_design(cascades, store, feature_indices, activity_horizon):
     """The stacked risk sets of every observed comment, in time order.
 
-    A comment at global minute t has in its risk set the cascades whose
-    latest event before t (one `Cascade.latest_before` per cascade) is at
-    most the horizon old, and always its own cascade.  A row is that
-    event's content, so a comment is never its own covariate.  Returns a
-    `_CoxDesign`: the risk sets' rows stacked comment by comment, in
-    corpus order within a risk set, with each risk set's start and target.
+    A comment at global minute t is at risk with what the replay serves at
+    t under "active" (`candidate_cascades` of `walk_minutes`' open
+    cascades) and with its own cascade, which received it; a cascade
+    leaves once its window has closed.  A row is the content of the
+    cascade's `latest_before(t)`, so a comment is never its own covariate.
+    Returns a `_CoxDesign`: the risk sets' rows stacked comment by
+    comment, each in `(origin, cascade_id)` order.
     """
     rows, starts, segment, targets = [], [], [], []
-    for i, (t, target, _, _) in enumerate(comment_stream(cascades)):
-        starts.append(len(rows))
-        for c in cascades:
-            last = c.latest_before(t)
-            if c is target:
-                targets.append(len(rows))
-            elif last is None or t - (c.origin + last.time) > activity_horizon:
-                continue
-            rows.append(_covariate(last, store, feature_indices))
-            segment.append(i)
+    for t, batch, pool in walk_minutes(cascades):
+        active = candidate_cascades(pool, t, "active", activity_horizon)
+        for e, target in batch:
+            at_risk = active
+            if target not in active:  # quiet past the horizon, yet it received e
+                at_risk = sorted([*active, target], key=in_play_order)
+            segment += [len(starts)] * len(at_risk)
+            starts.append(len(rows))
+            targets.append(len(rows) + at_risk.index(target))
+            rows += [_covariate(c.latest_before(t), store, feature_indices) for c in at_risk]
+        for e, target in batch:
+            target.append(e)
     return _CoxDesign(
         rows=np.array(rows, dtype=float).reshape(len(rows), len(feature_indices)),
         starts=np.array(starts, dtype=int),

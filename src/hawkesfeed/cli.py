@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import io
-from .core import JumpTable, corpus_participants
+from .core import CANDIDATE_POLICIES, JumpTable, candidate_cascades, corpus_participants
 from .errors import ConfigError, DataFormatError, EstimationError
 from .features import (
     FEATURE_SETS,
@@ -31,13 +31,7 @@ from .features import (
     feature_set_masks,
 )
 from .fit import DEFAULT_PENALTY_GRID, FitConfig, cross_validate, fit
-from .rank_eval import (
-    CANDIDATE_POLICIES,
-    RANKER_NAMES,
-    candidate_cascades,
-    evaluate,
-    prioritize,
-)
+from .rank_eval import RANKER_NAMES, evaluate, prioritize
 from .simulate import branching_ratio, simulate_corpus
 
 

@@ -37,7 +37,13 @@ reference, reads the events.
 `Cascade.latest_before` is the one rule for what a cascade did before a
 global minute t (`origin + time < t`), so a comment is never its own
 covariate.  Every cross-cascade reader asks it; the intensity scorers
-stay on the relative axis, fed shadows that hold only earlier events.
+stay on the relative axis, fed copies that hold only earlier events.
+`candidate_cascades` is the one rule for which cascades are in play at
+t: the window is open and, under "active", the latest event before t is
+within the horizon.  `walk_minutes` walks the comment stream once, a
+minute at a time, with the cascades open then and a growing copy of
+each; the replay (`rank_eval.evaluate_group`) and the COX risk sets
+(`baselines._cox_design`) both walk it, so both see the same cascades.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -55,10 +61,11 @@ from .errors import ConfigError
 
 # Minutes added to the later of two exactly tied event times at ingestion.
 TIE_SHIFT = 1e-6
-ACTIVITY_HORIZON = 720.0  # minutes a cascade stays active after its latest event
+ACTIVITY_HORIZON = 720.0  # minutes an open cascade stays active after its latest event
 
 _time = attrgetter("time")
 _content = attrgetter("content_features")
+in_play_order = attrgetter("origin", "cascade_id")  # how cascades in play are listed
 
 
 def _feature_vector(values):
@@ -258,6 +265,54 @@ def comment_stream(cascades):
             for c in cascades for i, e in enumerate(c.comments)]
     rows.sort(key=lambda r: (r[0], r[1].cascade_id, r[2]))
     return rows
+
+
+CANDIDATE_POLICIES = ("all", "active")
+
+
+def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORIZON):
+    """The cascades in play at global minute t, in the order given: those
+    whose window is open (`origin < t < origin + window_end`) and, under
+    "active", whose `latest_before(t)` is at most `activity_horizon` old."""
+    if policy not in CANDIDATE_POLICIES:
+        raise ConfigError(
+            f"unknown candidate policy {policy!r}, pick from {CANDIDATE_POLICIES}"
+        )
+    out = []
+    for c in cascades:
+        if not c.origin < t < c.origin + c.window_end:
+            continue
+        if policy == "active":
+            last = c.latest_before(t)
+            if last is None or t - (c.origin + last.time) > activity_horizon:
+                continue
+        out.append(c)
+    return out
+
+
+def walk_minutes(cascades):
+    """The comment stream a global minute at a time, with the open cascades.
+
+    Yields `(t, batch, open)` per distinct minute t of `comment_stream`:
+    `batch` pairs each comment at t with a post-only copy of its cascade,
+    and `open` is `candidate_cascades` of the copies at t, in
+    `in_play_order`.  The caller appends each comment to its copy once it
+    has handled the whole minute, so a copy holds its cascade's events
+    before t.  `open` is a pool that a copy joins once its origin precedes
+    t and leaves once its window has closed; it is refiltered only then,
+    so the work per minute does not grow with the number of cascades.
+    """
+    copies = {c.cascade_id: replace(c, comments=()) for c in cascades}
+    ordered = sorted(copies.values(), key=in_play_order)
+    pool, admitted, closes = [], 0, math.inf
+    for t, rows in groupby(comment_stream(cascades), key=itemgetter(0)):
+        start = admitted
+        while admitted < len(ordered) and ordered[admitted].origin < t:
+            admitted += 1
+        if admitted > start or t >= closes:
+            pool = candidate_cascades(pool + ordered[start:admitted], t)
+            closes = min((c.origin + c.window_end for c in pool), default=math.inf)
+        yield t, [(e, copies[c.cascade_id]) for _, c, _, e in rows], pool
 
 
 @dataclass(eq=False)

@@ -13,8 +13,8 @@ The harness replays a test corpus one comment at a time: rank the user's
 candidate cascades just before the comment lands, record the 0-based
 position of the cascade it actually landed in, then let every ranker
 state absorb it.  AveRank is the mean recorded position; NAveRank divides
-by the group's average number of active cascades, so groups of different
-sizes are comparable.
+by the group's average number of cascades the "active" policy serves, so
+groups of different sizes are comparable.
 
 A scratch feed query (`prioritize`) scores its candidates in one vector
 pass over their `Cascade.columns` and certifies the order it serves:
@@ -37,12 +37,13 @@ import numpy as np
 from .baselines import cox_covariate, fit_cox, fit_hwk_em, order_candidates
 from .core import (
     ACTIVITY_HORIZON,
-    Cascade,
     JumpTable,
     _content_scores,
+    candidate_cascades,
     comment_stream,
     corpus_participants,
     event_content,
+    walk_minutes,
 )
 from .errors import ConfigError
 from .features import annotate_corpus, feature_set_masks
@@ -52,8 +53,6 @@ RANKER_NAMES = (
     "RCHR", "NN", "COX-LNG", "COX-PSY", "HWK",
     "HWK-CHR", "HWK-RLTN", "HWK-LNG", "HWK-PSY", "HWK-ALL",
 )
-
-CANDIDATE_POLICIES = ("all", "active")
 
 
 def prioritize(user, t, cascades, states, params, store):
@@ -200,30 +199,12 @@ def certified_intensities(jumps, user, cascades, ts):
     return lam, (scale * a) * lam + scale * big_b
 
 
-def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORIZON):
-    """Cascades a user could be served at global minute t."""
-    if policy not in CANDIDATE_POLICIES:
-        raise ConfigError(
-            f"unknown candidate policy {policy!r}, pick from {CANDIDATE_POLICIES}"
-        )
-    out = []
-    for c in cascades:
-        if not c.origin < t < c.origin + c.window_end:
-            continue
-        if policy == "active":
-            last = c.latest_before(t)
-            if last is None or t - (c.origin + last.time) > activity_horizon:
-                continue
-        out.append(c)
-    return out
-
-
 def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
     """Time-average count of active cascades over window = (start, end).
 
-    A cascade is active while its latest event is at most
-    `activity_horizon` minutes old, i.e. on the union of [e, e + horizon)
-    over its events.  The integrand is piecewise constant, so the
+    A cascade is active where `candidate_cascades` serves it under
+    "active": on the union over its events e of [e, min(e + horizon,
+    origin + window_end)).  The integrand is piecewise constant, so the
     integral is exact.
     """
     w0, w1 = window
@@ -231,13 +212,14 @@ def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
         raise ConfigError(f"evaluation window [{w0}, {w1}] has no length")
     total = 0.0
     for c in cascades:
-        spans = []
+        spans, closes = [], c.origin + c.window_end
         for e in c.events:
             start = c.origin + e.time
+            end = min(start + activity_horizon, closes)
             if spans and start <= spans[-1][1]:
-                spans[-1][1] = start + activity_horizon
+                spans[-1][1] = end
             else:
-                spans.append([start, start + activity_horizon])
+                spans.append([start, end])
         for s, e in spans:
             total += max(0.0, min(e, w1) - max(s, w0))
     return total / (w1 - w0)
@@ -454,74 +436,33 @@ class RankReport:
     groups: list[GroupMetrics] = field(default_factory=list)  # sorted by group id
 
 
-def _shadow(cascade):
-    # post-only copy; comments are appended back as the stream replays them
-    return Cascade(
-        cascade_id=cascade.cascade_id,
-        post=cascade.post,
-        comments=[],
-        window_end=cascade.window_end,
-        group_id=cascade.group_id,
-        origin=cascade.origin,
-        truncated=cascade.truncated,
-    )
-
-
 def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
                    activity_horizon=ACTIVITY_HORIZON, window=None):
     """Replay one group's test comments through a ranker.
 
-    Comments at the same global minute are all ranked before any of them
-    is absorbed, so an event never sees a simultaneous one; this keeps
-    streaming and scratch rankers in exact agreement.  Candidates are
-    filtered from a pool of the cascades whose window is open, kept as
-    the stream advances, so the work per comment does not grow with the
-    number of cascades in the group.  Under "all" the pool itself is served.
+    Each minute of `walk_minutes` ranks all its comments among the same
+    candidates, the open copies (filtered by `candidate_cascades` unless
+    the policy is "all"), before any is absorbed: an event never sees a
+    simultaneous one, which keeps streaming and scratch rankers in exact
+    agreement.
     """
-    stream = comment_stream(test_cascades)
-    if not stream:
-        raise ConfigError(f"group {group_id!r} has no test comments to rank")
-
-    shadows = {c.cascade_id: _shadow(c) for c in test_cascades}
-    ordered_shadows = sorted(shadows.values(), key=lambda c: (c.origin, c.cascade_id))
-    # the pool, in origin order: a cascade joins once its post precedes
-    # t and leaves once its window has closed, never to return; it is
-    # filtered only when one joins or the earliest window end has passed
-    live, admitted, closes = [], 0, math.inf
     trace = []
-    i = 0
-    while i < len(stream):
-        j = i
-        while j < len(stream) and stream[j][0] == stream[i][0]:
-            j += 1
-        batch = stream[i:j]
-        t = batch[0][0]
-        start = admitted
-        while (admitted < len(ordered_shadows)
-               and ordered_shadows[admitted].origin < t):
-            admitted += 1
-        if admitted > start or t >= closes:
-            live = candidate_cascades(live + ordered_shadows[start:admitted], t)
-            closes = min((c.origin + c.window_end for c in live), default=math.inf)
-        for _, c, _, e in batch:
-            candidates = live if policy == "all" else candidate_cascades(
-                live, t, policy, activity_horizon)
-            # candidates and the served order hold the shadow objects
-            # themselves, so the target is found by identity
-            target = shadows[c.cascade_id]
+    for t, batch, pool in walk_minutes(test_cascades):
+        candidates = pool if policy == "all" else candidate_cascades(
+            pool, t, policy, activity_horizon)
+        for e, target in batch:
+            # the served order holds the copies themselves: found by identity
             if target not in candidates:
                 raise ConfigError(
-                    f"cascade {c.cascade_id!r} fell out of the candidate set at "
-                    f"t={t}; the {policy!r} policy cannot score this corpus"
+                    f"cascade {target.cascade_id!r} fell out of the candidate set "
+                    f"at t={t}; the {policy!r} policy cannot score this corpus"
                 )
-            served = ranker.rank(e.publisher, t, candidates)
-            trace.append(served.index(target))
-        for _, c, _, e in batch:
-            shadow = shadows[c.cascade_id]
-            shadow.append(e)
-            ranker.absorb(shadow, e, t)
-        i = j
-
+            trace.append(ranker.rank(e.publisher, t, candidates).index(target))
+        for e, target in batch:
+            target.append(e)
+            ranker.absorb(target, e, t)
+    if not trace:
+        raise ConfigError(f"group {group_id!r} has no test comments to rank")
     if window is None:
         window = (
             min(c.origin for c in test_cascades),

@@ -351,11 +351,14 @@ def recency_scan(cascade, t):
 # stacked: a linear scan for the covariate, a list of (rows, target) pairs
 # per comment and a Python loop over them per evaluation.  Kept as the
 # oracle for `cox_covariate`, `_cox_design`, the partial likelihood, its
-# gradient and `fit_cox`, with one correction: the covariate and the risk
-# sets read what each cascade did strictly before the comment's global
-# minute.  The scan once compared relative minutes (`time < t - origin`),
-# and since `(origin + x) - origin` may round above x, a comment could be
-# its own covariate.
+# gradient and `fit_cox`, with two corrections.  The covariate and the
+# risk sets read what each cascade did strictly before the comment's
+# global minute: the scan once compared relative minutes (`time < t -
+# origin`), and since `(origin + x) - origin` may round above x, a comment
+# could be its own covariate.  And a cascade other than the target is at
+# risk only while its window is open, in `(origin, cascade_id)` order, as
+# the replay serves it under "active": the scan once kept a closed
+# cascade for as long as its last event was within the horizon.
 
 
 def cox_covariate_scan(cascade, t, store, feature_indices):
@@ -370,25 +373,28 @@ def cox_covariate_scan(cascade, t, store, feature_indices):
 def cox_design_loop(cascades, store, feature_indices, activity_horizon):
     """Per observed comment: covariate rows of its risk set and the target row.
 
-    The risk set holds cascades initiated before the comment and active
-    (last event within the horizon); the comment's own cascade is always
-    included so every term is well defined.
+    The risk set holds the cascades whose window is open at the comment
+    (`origin < t < origin + window_end`) and that are active (last event
+    within the horizon), in `(origin, cascade_id)` order; the comment's
+    own cascade is always included so every term is well defined.
     """
     steps = []
     for c in cascades:
         for e in c.comments:
             steps.append((c.origin + e.time, c.cascade_id, c))
     steps.sort(key=lambda s: (s[0], s[1]))
+    in_play_order = sorted(cascades, key=lambda c: (c.origin, c.cascade_id))
     design = []
     for t, target_id, target in steps:
         rows = []
         target_row = None
-        for c in cascades:
+        for c in in_play_order:
             if c.cascade_id == target_id:
                 in_risk = True
             else:
                 last = recency_scan(c, t)
-                in_risk = c.origin < t and t - last <= activity_horizon
+                in_risk = (c.origin < t < c.origin + c.window_end
+                           and t - last <= activity_horizon)
             if in_risk:
                 if c.cascade_id == target_id:
                     target_row = len(rows)

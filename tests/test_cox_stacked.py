@@ -1,7 +1,8 @@
 """The proportional-rates baseline on stacked risk sets against the loop
 it replaced (the oracle in conftest): same covariates, same risk sets,
 the same partial likelihood and gradient to rounding, the same fitted
-objective and the same served rank traces."""
+objective and the same served rank traces.  A risk set is what the
+"active" policy serves at the comment plus the comment's own cascade."""
 
 import warnings
 
@@ -16,7 +17,13 @@ from hawkesfeed.baselines import (
     cox_partial_log_likelihood,
     fit_cox,
 )
-from hawkesfeed.core import Cascade, Event
+from hawkesfeed.core import (
+    ACTIVITY_HORIZON,
+    Cascade,
+    Event,
+    candidate_cascades,
+    comment_stream,
+)
 from hawkesfeed.features import FeatureStore, build_feature_store, demo_lexicon
 from hawkesfeed.rank_eval import evaluate
 
@@ -27,6 +34,7 @@ from conftest import (
     cox_hessian_loop,
     cox_partial_log_likelihood_loop,
     fit_cox_loop,
+    make_cascade,
     random_corpus,
     text_corpus,
 )
@@ -118,6 +126,88 @@ def test_stacked_design_holds_the_loop_risk_sets():
         assert np.array_equal(design.rows, np.vstack([rows for rows, _ in loop]))
         assert np.array_equal(design.segment,
                               np.repeat(np.arange(len(loop)), design.sizes))
+
+
+def test_a_closed_window_leaves_the_risk_set():
+    # A's window closes at minute 10; at B's comments its own comment, at
+    # minute 5, is well within the horizon, yet A is no longer at risk
+    rng = np.random.default_rng(4)
+
+    def cascade(rows, cascade_id, origin, window_end):
+        return make_cascade(rows, cascade_id=cascade_id, origin=origin,
+                            window_end=window_end, content_dim=3,
+                            post_content=rng.uniform(size=3), seed=len(rows))
+
+    a = cascade([(5.0, "bo")], "A", 0.0, 10.0)
+    b = cascade([(19.0, "cy"), (29.0, "di")], "B", 1.0, 100.0)
+    c = cascade([], "C", 2.0, 100.0)
+    store = content_store()
+    design = _cox_design([c, b, a], store, FEATURES, ACTIVITY_HORIZON)
+    # A's comment: A, B and C, in origin order; B's two comments: B and C
+    assert design.sizes.tolist() == [3, 2, 2]
+    assert (design.targets - design.starts).tolist() == [0, 0, 0]
+    want = [cox_covariate(x, t, store, FEATURES)
+            for t, at_risk in ((5.0, (a, b, c)), (20.0, (b, c)), (30.0, (b, c)))
+            for x in at_risk]
+    assert np.array_equal(design.rows, np.array(want))
+
+
+def closing_corpus(seed):
+    """Short windows that close while others run, integer minutes so that
+    comments share a global minute, and a long-window cascade whose second
+    comment comes more than the horizon after its first; listed in no
+    particular order."""
+    rng = np.random.default_rng(seed)
+    cascades = []
+
+    def add(cascade_id, origin, window_end, times):
+        rows = [(float(t), str(rng.choice(["bo", "cy", "di"])), rng.uniform(size=3))
+                for t in sorted(set(times))]
+        cascades.append(make_cascade(rows, cascade_id=cascade_id, origin=float(origin),
+                                     window_end=window_end, content_dim=3,
+                                     post_content=rng.uniform(size=3)))
+
+    for i in range(int(rng.integers(4, 10))):
+        window = float(rng.choice([5.0, 15.0, 60.0]))
+        add(f"s{rng.integers(100)}-{i}", rng.integers(0, 40), window,
+            rng.integers(1, int(window), size=rng.integers(0, 6)).tolist())
+    quiet = int(ACTIVITY_HORIZON) + int(rng.integers(10, 60))
+    add("quiet", rng.integers(0, 10), 2000.0, [3, 3 + quiet])
+    add("late", 3 + quiet - int(rng.integers(1, 20)), 60.0,
+        rng.integers(1, 59, size=4).tolist())
+    rng.shuffle(cascades)
+    return cascades
+
+
+def test_closing_corpora_hold_what_the_property_needs():
+    closed = shared = quiet = 0
+    for seed in range(30):
+        corpus = closing_corpus(seed)
+        stream = comment_stream(corpus)
+        shared += len(stream) - len({t for t, _, _, _ in stream})
+        for t, target, _, _ in stream:
+            closed += any(not t < c.origin + c.window_end for c in corpus
+                          if c.origin < t and t - c.origin < ACTIVITY_HORIZON)
+            quiet += target not in candidate_cascades(corpus, t, "active")
+    assert closed and shared and quiet >= 30
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cox_risk_sets_are_the_active_candidates_plus_the_target(seed):
+    corpus = closing_corpus(seed)
+    store = content_store()
+    design = _cox_design(corpus, store, FEATURES, ACTIVITY_HORIZON)
+    stream = comment_stream(corpus)
+    assert design.starts.size == len(stream)
+    bounds = [*design.starts.tolist(), design.rows.shape[0]]
+    for i, (t, target, _, _) in enumerate(stream):
+        at_risk = candidate_cascades(corpus, t, "active")
+        if target not in at_risk:
+            at_risk.append(target)
+        at_risk.sort(key=lambda c: (c.origin, c.cascade_id))
+        want = np.array([cox_covariate(c, t, store, FEATURES) for c in at_risk])
+        assert np.array_equal(design.rows[bounds[i]:bounds[i + 1]], want), (seed, i)
+        assert design.targets[i] - bounds[i] == at_risk.index(target)
 
 
 def test_stacked_partial_likelihood_and_gradient_match_the_loop():

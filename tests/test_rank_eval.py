@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from hawkesfeed.baselines import fit_hwk_em, order_candidates
-from hawkesfeed.core import IntensityState, decay_state, intensity
+from hawkesfeed.core import (
+    CANDIDATE_POLICIES,
+    IntensityState,
+    candidate_cascades,
+    decay_state,
+    intensity,
+)
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.rank_eval import (
-    CANDIDATE_POLICIES,
     CoxRanker,
     IntensityRanker,
     NNRanker,
     PairwiseRanker,
     RecencyRanker,
-    candidate_cascades,
     evaluate,
     evaluate_group,
     make_ranker,
@@ -117,48 +121,54 @@ def test_unknown_policy_is_rejected():
 # -------------------------------------------------------------- mean activity
 
 
+# Windows of 2,000 minutes outlast the 720-minute horizon, so these
+# cascades stay active for the whole horizon after each event.
+
+
 def test_mean_activity_hand_values():
-    a = make_cascade([], cascade_id="A", origin=0.0, window_end=30.0)
+    a = make_cascade([], cascade_id="A", origin=0.0, window_end=2000.0)
     assert mean_activity([a], (0.0, 720.0)) == pytest.approx(1.0)
     assert mean_activity([a], (0.0, 1440.0)) == pytest.approx(0.5)
 
 
 def test_mean_activity_merges_overlapping_spans():
     # post at 0 and comment at 10 overlap; the union is [0, 730)
-    a = make_cascade([(10.0, "bo")], cascade_id="A", origin=0.0, window_end=30.0)
+    a = make_cascade([(10.0, "bo")], cascade_id="A", origin=0.0, window_end=2000.0)
     assert mean_activity([a], (0.0, 730.0)) == pytest.approx(1.0)
     assert mean_activity([a], (0.0, 1460.0)) == pytest.approx(0.5)
 
 
 def test_mean_activity_sums_cascades():
-    a = make_cascade([], cascade_id="A", origin=0.0, window_end=30.0)
-    b = make_cascade([], cascade_id="B", origin=360.0, window_end=30.0)
+    a = make_cascade([], cascade_id="A", origin=0.0, window_end=2000.0)
+    b = make_cascade([], cascade_id="B", origin=360.0, window_end=2000.0)
     expected = (720.0 + 720.0) / 1080.0
     assert mean_activity([a, b], (0.0, 1080.0)) == pytest.approx(expected)
 
 
+def test_mean_activity_ends_when_the_window_closes():
+    # the window closes at minute 35, long before the comment at minute 15
+    # is 720 old: active on [5, 35), as the "active" candidates are
+    a = make_cascade([(10.0, "bo")], cascade_id="A", origin=5.0, window_end=30.0)
+    assert mean_activity([a], (0.0, 720.0)) == pytest.approx(30.0 / 720.0)
+    # with a 4-minute horizon: [5, 9) and [15, 19), both inside the window
+    assert mean_activity([a], (0.0, 40.0), activity_horizon=4.0) == pytest.approx(0.2)
+    assert ids(candidate_cascades([a], 34.9, "active")) == ["A"]
+    assert candidate_cascades([a], 35.0, "active") == []
+
+
 def test_mean_activity_matches_discretization(sim_setup):
-    # [DERIVED] midpoint Riemann sum over a fine grid
+    # [DERIVED] midpoint Riemann sum over a fine grid of the "active"
+    # candidate count
     _, corpus = sim_setup
     cascades = corpus[:12]
     window = (0.0, 40.0)
     horizon = 6.0
     exact = mean_activity(cascades, window, activity_horizon=horizon)
     grid = np.arange(window[0] + 0.005, window[1], 0.01)
-    count = np.zeros_like(grid)
-    for c in cascades:
-        for e in c.events:
-            s = c.origin + e.time
-            count += (grid >= s) & (grid < s + horizon)
-    # count overlapping spans once: redo as union per cascade
-    count = np.zeros_like(grid)
-    for c in cascades:
-        active = np.zeros_like(grid, dtype=bool)
-        for e in c.events:
-            s = c.origin + e.time
-            active |= (grid >= s) & (grid < s + horizon)
-        count += active
-    assert abs(float(count.mean()) - exact) < 0.01
+    count = [len(candidate_cascades(cascades, s, "active", horizon)) for s in grid]
+    # some windows close inside the evaluation window
+    assert any(c.origin + c.window_end < window[1] for c in cascades)
+    assert abs(float(np.mean(count)) - exact) < 0.01
 
 
 def test_mean_activity_rejects_empty_window():

@@ -1,8 +1,9 @@
-"""The replay's candidate pool and the lazy recency tie-break.
+"""The stream walk's candidate pool and the lazy recency tie-break.
 
-`evaluate_group` filters each comment's candidates from a pool of the
-cascades whose window is open, admitted by origin and dropped once the
-window has closed, instead of scanning the whole group.
+`core.walk_minutes` keeps a pool of the cascades whose window is open,
+admitted by origin and dropped once the window has closed, instead of
+scanning the whole group; `evaluate_group` filters each minute's
+candidates from it and `_cox_design` each comment's risk set.
 `order_candidates` reads a cascade's recency only when its score ties
 another's.  Both must serve exactly what the full scan and the full
 sort key serve.
@@ -11,10 +12,10 @@ sort key serve.
 import numpy as np
 import pytest
 
-from hawkesfeed import rank_eval
-from hawkesfeed.baselines import order_candidates
-from hawkesfeed.core import Cascade
-from hawkesfeed.rank_eval import RecencyRanker, candidate_cascades, evaluate_group
+from hawkesfeed import core, rank_eval
+from hawkesfeed.baselines import _cox_design, order_candidates
+from hawkesfeed.core import ACTIVITY_HORIZON, Cascade, candidate_cascades
+from hawkesfeed.rank_eval import RecencyRanker, evaluate_group
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 from conftest import make_cascade, recency_scan
@@ -28,18 +29,30 @@ def replay_half(n_cascades, seed=3):
     return corpus[len(corpus) // 2:]
 
 
+def record_copies(monkeypatch):
+    """The post-only copies `walk_minutes` makes, as it makes them."""
+    copies = []
+    real = core.replace
+
+    def recording(obj, **changes):
+        out = real(obj, **changes)
+        if isinstance(out, Cascade):
+            copies.append(out)
+        return out
+
+    monkeypatch.setattr(core, "replace", recording)
+    return copies
+
+
 @pytest.mark.parametrize("policy", ["all", "active"])
 def test_pool_candidates_equal_a_full_scan(monkeypatch, policy):
-    shadows = []
-    real_shadow = rank_eval._shadow
-    monkeypatch.setattr(rank_eval, "_shadow",
-                        lambda c: shadows.append(real_shadow(c)) or shadows[-1])
+    copies = record_copies(monkeypatch)
 
     class ScanCheckingRanker(RecencyRanker):
         steps = 0
 
         def rank(self, user, t, candidates):
-            everything = sorted(shadows, key=lambda c: (c.origin, c.cascade_id))
+            everything = sorted(copies, key=lambda c: (c.origin, c.cascade_id))
             assert candidates == candidate_cascades(everything, t, policy)
             self.steps += 1
             return super().rank(user, t, candidates)
@@ -51,25 +64,29 @@ def test_pool_candidates_equal_a_full_scan(monkeypatch, policy):
     ranker = ScanCheckingRanker()
     metrics = evaluate_group(ranker, test, policy=policy)
     assert ranker.steps == metrics.n_comments > 1000
-    assert len(shadows) == len(test)
+    assert len(copies) == len(test)
 
 
 def visits_per_comment(monkeypatch, n_cascades, policy):
-    """Cascades the replay looks at per comment, keeping its pool and, under
-    the "active" policy, filtering the comment's candidates from it; and
-    the group size.  Under "all" the pool is served as it is."""
+    """Cascades the replay looks at per comment, keeping its pool (in
+    `core`) and, under the "active" policy, filtering each minute's
+    candidates from it (in `rank_eval`); and the group size.  Under "all"
+    the pool is served as it is."""
     visited = []
-    real = rank_eval.candidate_cascades
+    real = core.candidate_cascades
 
     def counting(cascades, *args):
         visited.append(len(cascades))
         return real(cascades, *args)
 
+    monkeypatch.setattr(core, "candidate_cascades", counting)
     monkeypatch.setattr(rank_eval, "candidate_cascades", counting)
     test = replay_half(n_cascades)
     metrics = evaluate_group(RecencyRanker(), test, policy=policy)
+    minutes = len({c.origin + e.time for c in test for e in c.comments})
+    assert minutes == metrics.n_comments  # no two comments share a minute
     if policy == "active":
-        assert len(visited) > metrics.n_comments  # each comment, and the pool
+        assert len(visited) > metrics.n_comments  # each minute, and the pool
     else:
         assert len(visited) < metrics.n_comments  # the pool alone
     return sum(visited) / metrics.n_comments, len(test)
@@ -83,6 +100,29 @@ def test_replay_work_per_comment_does_not_grow_with_the_corpus(monkeypatch):
         assert n_large == 4 * n_small
         assert small < n_small / 2  # a scan would visit all of them
         assert large < 1.25 * small
+
+
+def cox_lookups_per_comment(monkeypatch, n_cascades):
+    """`latest_before` calls per comment of `_cox_design` on a training
+    corpus, and the corpus size."""
+    calls = []
+    real = Cascade.latest_before
+    monkeypatch.setattr(Cascade, "latest_before",
+                        lambda c, t: calls.append(c) or real(c, t))
+    train = replay_half(n_cascades)
+    store = random_sim_config(n_users=6, seed=3, n_cascades=n_cascades).store
+    design = _cox_design(train, store, np.arange(store.content_dim), ACTIVITY_HORIZON)
+    monkeypatch.undo()
+    return len(calls) / design.starts.size, len(train)
+
+
+def test_cox_design_work_per_comment_does_not_grow_with_the_corpus(monkeypatch):
+    # the risk sets come from the walk's pool, not a scan of every cascade
+    small, n_small = cox_lookups_per_comment(monkeypatch, 100)
+    large, n_large = cox_lookups_per_comment(monkeypatch, 400)
+    assert n_large == 4 * n_small
+    assert small < n_small  # a scan looks up every cascade
+    assert large < 1.25 * small
 
 
 def tied_corpus(seed):
