@@ -100,6 +100,22 @@ class Event:
         if cf.size and not (cf.min() >= 0.0 and cf.max() <= 1.0):
             raise ValueError("content features must lie in [0, 1]; normalize first")
 
+    @classmethod
+    def _trusted(cls, time, publisher, content_features, text=None):
+        """An event from values its maker guarantees the constructor would
+        keep as they are: `time` a finite Python float >= 0 and
+        `content_features` a contiguous 1-d float array in [0, 1].
+
+        The fields are set in declaration order, so the instance shares its
+        attribute layout with checked events and takes no more memory.
+        """
+        e = cls.__new__(cls)
+        e.time = time
+        e.publisher = publisher
+        e.content_features = content_features
+        e.text = text
+        return e
+
 
 @dataclass(eq=False)
 class Cascade:

@@ -7,10 +7,31 @@ total; a candidate is accepted with probability total(candidate)/bound
 and attributed to a user proportionally to the individual rates, and the
 bound is refreshed (lowered) after every rejection.
 
-Comments receive content vectors drawn uniformly from [0, 1]; the model
+Comments receive content vectors drawn uniformly from [0, 1); the model
 never sees simulated text.  Generation refuses supercritical
 configurations up front: if in the worst case one comment breeds one or
 more expected comments, cascades have no finite mean size.
+
+A corpus is reproducible bit for bit per seed, so the thinning loop keeps
+every operation that decides one: the per-user post and comment terms as
+numpy vectors, their totals as `np.add.reduce` (a pairwise sum, unlike a
+running one), each decay as one scalar `np.exp` (which may differ from
+`math.exp` in the last bit), and the attribution as `cumsum` with
+`searchsorted`.  What it drops is per-step overhead that gives the same
+floats:
+
+- a step's draw is `bound * rng.random()`, not `rng.uniform(0.0, bound)`,
+  and a comment's content is `rng.random(kd)`, not `rng.uniform(size=kd)`:
+  numpy computes `uniform` as `low + (high - low) * next_double`, so both
+  take the same doubles from the bit generator and round to the same
+  floats (a test pins both identities on the installed numpy);
+- an event is made by `Event._trusted`, without the constructor's checks:
+  thinning already guarantees a time in (0, horizon), content in [0, 1)
+  and no text, and `Cascade` still checks order and window;
+- a comment's content score is `float(w @ content)` on the drawn vector,
+  which is what `JumpTable.comment_score` returns for it;
+- its pair jumps are one contiguous row of a publisher-major matrix, added
+  in place: the same sums as adding a strided column to a copy.
 """
 
 from __future__ import annotations
@@ -45,10 +66,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.horizon < math.inf:  # a NaN fails too
             raise ConfigError("horizon must be finite and positive")
-        if self.max_events < 1:
-            raise ConfigError("max_events must be at least 1")
-        if not (isinstance(self.n_cascades, (int, np.integer)) and self.n_cascades >= 0):
-            raise ConfigError("n_cascades must be a nonnegative integer")
+        _check_count("max_events", self.max_events, 1)
+        _check_count("n_cascades", self.n_cascades, 0)
         if not math.isfinite(self.origin_spacing):
             raise ConfigError("origin_spacing must be finite")
         if not isinstance(self.group_id, str):
@@ -63,21 +82,31 @@ class SimConfig:
             )
 
 
+def _check_count(name, value, least):
+    """Refuse anything but an integer >= least: a NaN, a float such as 2.5
+    and a bool are refused too."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _jumps_and_ratio(config):
-    """The config's `JumpTable`, the U x U matrix whose column p is what one
-    comment by user p adds to every user's rate through the pair weights,
-    and the worst-case branching ratio read from its columns."""
+    """The config's `JumpTable`, the U x U matrix whose row p is what one
+    comment by user p adds to every user's rate through the pair weights
+    (publisher-major and contiguous, so thinning adds a row in place), and
+    the worst-case branching ratio read from its rows."""
     users = config.users
     jumps = JumpTable(config.params, config.store)
-    pair_jumps = np.array([[jumps.pair(u, p)[1] for p in users] for u in users])
+    comment_jumps = np.array([[jumps.pair(u, p)[1] for u in users] for p in users])
     content_part = jumps.max_comment_score
     worst = 0.0
-    for column in pair_jumps.T.tolist():
+    for row in comment_jumps.tolist():
         total = 0.0
-        for j in column:  # left to right: from Python 3.12 `sum` compensates
+        for j in row:  # left to right: from Python 3.12 `sum` compensates
             total += j + content_part
         worst = max(worst, total)
-    return jumps, pair_jumps, worst / config.params.comment_decay_rate
+    return jumps, comment_jumps, worst / config.params.comment_decay_rate
 
 
 def branching_ratio(config):
@@ -92,28 +121,47 @@ def branching_ratio(config):
 def _subcritical_jumps(config):
     """The table and matrix of `_jumps_and_ratio`; refuses a supercritical
     configuration."""
-    jumps, pair_jumps, ratio = _jumps_and_ratio(config)
+    jumps, comment_jumps, ratio = _jumps_and_ratio(config)
     if ratio >= 1.0:
         raise ConfigError(
             f"supercritical configuration: worst-case branching ratio {ratio:.3f} >= 1"
         )
-    return jumps, pair_jumps
+    return jumps, comment_jumps
 
 
 def simulate_cascade(config, post, rng=None, origin=0.0, cascade_id="c0"):
     """One cascade under the configured intensity, by thinning."""
-    jumps, pair_jumps = _subcritical_jumps(config)
+    jumps, comment_jumps = _subcritical_jumps(config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _thin(config, post, rng, origin, cascade_id, jumps, pair_jumps)
+    return _thin(config, post, rng, origin, cascade_id, jumps, comment_jumps)
 
 
-def _thin(config, post, rng, origin, cascade_id, jumps, pair_jumps):
+def _attribute(rates, draw):
+    """Index of the user a draw in [0, np.add.reduce(rates)) falls to: the
+    first whose running sum of rates exceeds it.
+
+    The pairwise total can exceed the running sum by an ulp; a draw in that
+    gap falls to the last user with a positive rate.
+    """
+    idx = int(rates.cumsum().searchsorted(draw, side="right"))
+    if idx == rates.size:
+        idx = int(np.flatnonzero(rates > 0.0)[-1])
+    return idx
+
+
+def _thin(config, post, rng, origin, cascade_id, jumps, comment_jumps):
     """simulate_cascade's thinning loop, given the config's jumps."""
     params = config.params
     users = config.users
     kd = params.content_dim
-    # per-user decomposed rates, updated in place as the clock advances
+    content_weights = params.comment_content_weights
+    post_rate, comment_rate = -params.post_decay_rate, -params.comment_decay_rate
+    horizon, max_events = config.horizon, config.max_events
+    # np.add.reduce is what .sum() runs, without the per-call wrappers
+    reduce, exp, random, exponential = np.add.reduce, np.exp, rng.random, rng.exponential
+    event = Event._trusted
+    # per-user decomposed rates, updated as the clock advances
     post_score = jumps.post_score(post)
     post_terms = np.array(
         [jumps.pair(u, post.publisher)[0] + post_score for u in users]
@@ -122,31 +170,29 @@ def _thin(config, post, rng, origin, cascade_id, jumps, pair_jumps):
     t = 0.0
     comments = []
     truncated = False
-    # np.add.reduce is what .sum() runs, without the per-call wrappers
     while True:
-        bound = np.add.reduce(post_terms) + np.add.reduce(comment_terms)
+        bound = reduce(post_terms) + reduce(comment_terms)
         if bound <= 0.0:
             break
-        candidate = t + rng.exponential(1.0 / bound)
-        if candidate >= config.horizon:
+        candidate = t + exponential(1.0 / bound)
+        if candidate >= horizon:
             break
-        decayed_post = post_terms * np.exp(-params.post_decay_rate * (candidate - t))
-        decayed_comment = comment_terms * np.exp(
-            -params.comment_decay_rate * (candidate - t)
-        )
+        decayed_post = post_terms * exp(post_rate * (candidate - t))
+        decayed_comment = comment_terms * exp(comment_rate * (candidate - t))
         rates = decayed_post + decayed_comment
-        total = np.add.reduce(rates)
-        draw = rng.uniform(0.0, bound)
+        total = reduce(rates)
+        draw = bound * random()
         post_terms, comment_terms, t = decayed_post, decayed_comment, candidate
         if draw >= total:
             continue  # rejected; the decayed total is the next bound
-        idx = int(rates.cumsum().searchsorted(draw, side="right"))
-        content = rng.uniform(size=kd) if kd else np.zeros(0)
-        comments.append(Event(candidate, users[idx], content))
-        comment_terms = comment_terms + pair_jumps[:, idx]
+        idx = _attribute(rates, draw)
+        content = random(kd) if kd else np.zeros(0)
+        comments.append(event(candidate, users[idx], content))
+        # comment_terms is this step's own array, so the jump goes in place
+        comment_terms += comment_jumps[idx]
         if kd:
-            comment_terms = comment_terms + jumps.comment_score(comments[-1])
-        if len(comments) >= config.max_events:
+            comment_terms += float(content_weights @ content)
+        if len(comments) >= max_events:
             truncated = True
             break
     return Cascade(
@@ -166,16 +212,17 @@ def simulate_corpus(config, n_cascades=None):
     Cascade i starts at origin i * origin_spacing; each cascade runs on
     its own child seed, so the corpus is reproducible event for event.
     """
-    n = config.n_cascades if n_cascades is None else n_cascades
+    n = config.n_cascades if n_cascades is None else _check_count(
+        "n_cascades", n_cascades, 0)
     seeds = np.random.SeedSequence(config.seed).spawn(n + 1)
     post_rng = np.random.default_rng(seeds[0])
     kd = config.params.content_dim
-    jumps, pair_jumps = _subcritical_jumps(config)
+    jumps, comment_jumps = _subcritical_jumps(config)
     cascades = []
     for i in range(n):
         publisher = config.users[i % len(config.users)]
-        content = post_rng.uniform(size=kd) if kd else np.zeros(0)
-        post = Event(0.0, publisher, content)
+        content = post_rng.random(kd) if kd else np.zeros(0)
+        post = Event._trusted(0.0, publisher, content)
         cascades.append(
             _thin(
                 config,
@@ -184,7 +231,7 @@ def simulate_corpus(config, n_cascades=None):
                 i * config.origin_spacing,
                 f"sim-{i:05d}",
                 jumps,
-                pair_jumps,
+                comment_jumps,
             )
         )
     return cascades

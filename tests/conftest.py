@@ -16,6 +16,7 @@ from hawkesfeed.core import (
     Cascade,
     Event,
     IntensityState,
+    JumpTable,
     ModelParams,
     event_content,
 )
@@ -634,6 +635,94 @@ def fit_loop(cascades, store, users, config, on_iterate=None):
             stop_reason = "tolerance"
             break
     return theta, trace, it, stop_reason
+
+
+# The simulator as it was before its loop dropped the per-step overhead:
+# every event through the checked constructor, draws by `rng.uniform`,
+# each comment's content scored by `JumpTable.comment_score` and its pair
+# jumps read from a column of a user-major matrix into a new vector.  Kept
+# verbatim as the oracle that `simulate_corpus` still draws the same
+# corpora bit for bit.
+
+
+def thin_loop(config, post, rng, origin, cascade_id, jumps, pair_jumps):
+    """simulate_cascade's thinning loop, given the config's jumps."""
+    params = config.params
+    users = config.users
+    kd = params.content_dim
+    # per-user decomposed rates, updated in place as the clock advances
+    post_score = jumps.post_score(post)
+    post_terms = np.array(
+        [jumps.pair(u, post.publisher)[0] + post_score for u in users]
+    )
+    comment_terms = np.zeros(len(users))
+    t = 0.0
+    comments = []
+    truncated = False
+    # np.add.reduce is what .sum() runs, without the per-call wrappers
+    while True:
+        bound = np.add.reduce(post_terms) + np.add.reduce(comment_terms)
+        if bound <= 0.0:
+            break
+        candidate = t + rng.exponential(1.0 / bound)
+        if candidate >= config.horizon:
+            break
+        decayed_post = post_terms * np.exp(-params.post_decay_rate * (candidate - t))
+        decayed_comment = comment_terms * np.exp(
+            -params.comment_decay_rate * (candidate - t)
+        )
+        rates = decayed_post + decayed_comment
+        total = np.add.reduce(rates)
+        draw = rng.uniform(0.0, bound)
+        post_terms, comment_terms, t = decayed_post, decayed_comment, candidate
+        if draw >= total:
+            continue  # rejected; the decayed total is the next bound
+        idx = int(rates.cumsum().searchsorted(draw, side="right"))
+        content = rng.uniform(size=kd) if kd else np.zeros(0)
+        comments.append(Event(candidate, users[idx], content))
+        comment_terms = comment_terms + pair_jumps[:, idx]
+        if kd:
+            comment_terms = comment_terms + jumps.comment_score(comments[-1])
+        if len(comments) >= config.max_events:
+            truncated = True
+            break
+    return Cascade(
+        cascade_id=cascade_id,
+        post=post,
+        comments=comments,
+        window_end=config.horizon,
+        group_id=config.group_id,
+        origin=origin,
+        truncated=truncated,
+    )
+
+
+def simulate_corpus_loop(config, n_cascades=None):
+    """`simulate_corpus` on `thin_loop`, for a subcritical config."""
+    n = config.n_cascades if n_cascades is None else n_cascades
+    seeds = np.random.SeedSequence(config.seed).spawn(n + 1)
+    post_rng = np.random.default_rng(seeds[0])
+    kd = config.params.content_dim
+    users = config.users
+    jumps = JumpTable(config.params, config.store)
+    pair_jumps = np.array([[jumps.pair(u, p)[1] for p in users] for u in users])
+    cascades = []
+    for i in range(n):
+        publisher = config.users[i % len(config.users)]
+        content = post_rng.uniform(size=kd) if kd else np.zeros(0)
+        post = Event(0.0, publisher, content)
+        cascades.append(
+            thin_loop(
+                config,
+                post,
+                np.random.default_rng(seeds[i + 1]),
+                i * config.origin_spacing,
+                f"sim-{i:05d}",
+                jumps,
+                pair_jumps,
+            )
+        )
+    return cascades
 
 
 @pytest.fixture(scope="session")

@@ -313,8 +313,8 @@ def sim_faults(r):
     out += [(("n_users",), v) for v in (math.nan, 1.5, "3")]
     out += [(("n_cascades",), v) for v in (math.nan, -2, 1.5)]
     out += [(("origin_spacing",), math.nan), (("origin_spacing",), math.inf),
-            (("max_events",), 0), (("group_id",), 7), (("typo_knob",), 1),
-            (("params",), 7)]
+            (("group_id",), 7), (("typo_knob",), 1), (("params",), 7)]
+    out += [(("max_events",), v) for v in (0, math.nan, 2.5, True)]
     params = r.get("params")
     if params is not None:
         for key in WEIGHTS:
@@ -464,7 +464,11 @@ def test_fit_refuses_a_faulty_store_vector_or_lexicon(tmp_path, inputs, at, valu
                 "comment_pair_weights": [-1.0, 0.0],
                 "comment_content_weights": [0.1, 0.1]}},
     {"horizon": math.nan},
-], ids=["negative-weight", "nan-horizon"])
+    {"max_events": math.nan},
+    {"max_events": 2.5},
+    {"max_events": True},
+], ids=["negative-weight", "nan-horizon", "nan-max-events", "fractional-max-events",
+        "bool-max-events"])
 def test_simulate_refuses_a_faulty_config(tmp_path, extra):
     config = tmp_path / "sim.json"
     record = {"n_users": 3, "pair_dim": 2, "content_dim": 2, "horizon": 8.0,
@@ -472,6 +476,20 @@ def test_simulate_refuses_a_faulty_config(tmp_path, extra):
     config.write_text(json.dumps({**record, **extra}))
     code, err = cli_exit(["simulate", config, "--out", tmp_path / "c.jsonl"])
     assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("max_events", [math.nan, 2.5, True, 0, "3"])
+def test_read_sim_config_refuses_a_cap_that_is_not_a_positive_integer(tmp_path,
+                                                                    max_events):
+    # a NaN cap once removed the cap, and 2.5 and true acted as caps of 3 and 1
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"n_users": 3, "horizon": 8.0, "n_cascades": 2,
+                                "max_events": max_events}))
+    with pytest.raises(DataFormatError, match="max_events"):
+        io.read_sim_config(path)
+    path.write_text(json.dumps({"n_users": 3, "horizon": 8.0, "n_cascades": 2,
+                                "max_events": 7}))
+    assert io.read_sim_config(path).max_events == 7
 
 
 def test_report_refuses_a_rank_trace_that_is_not_a_list(tmp_path):

@@ -1,18 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hawkesfeed.core import Event, ModelParams
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.simulate import (
     SimConfig,
+    _attribute,
     branching_ratio,
     random_sim_config,
     simulate_cascade,
     simulate_corpus,
 )
+
+from conftest import simulate_corpus_loop
 
 
 def single_user_config(post_weight=0.4, comment_weight=0.0, horizon=5.0,
@@ -52,10 +57,12 @@ def test_same_seed_reproduces_the_corpus_bitwise():
             assert np.array_equal(x.content_features, y.content_features)
 
 
-def cascade_fields(c):
-    """Every field of a cascade and of its events, as plain values."""
-    return (c.cascade_id, c.origin, c.window_end, c.group_id, c.truncated, [
-        (e.time, e.publisher, e.content_features.tolist(), e.text) for e in c.events
+def exact_fields(c):
+    """A cascade's fields with every float as `float.hex` and every content
+    vector as its bytes."""
+    return (c.cascade_id, c.origin.hex(), c.window_end.hex(), c.group_id, c.truncated, [
+        (type(e.time), e.time.hex(), e.publisher, e.content_features.dtype,
+         e.content_features.tobytes(), e.text) for e in c.events
     ])
 
 
@@ -68,11 +75,117 @@ def test_simulate_cascade_is_the_corpus_cascade():
     for i, want in enumerate(corpus):
         got = simulate_cascade(config, want.post, np.random.default_rng(seeds[i + 1]),
                                origin=want.origin, cascade_id=want.cascade_id)
-        assert cascade_fields(got) == cascade_fields(want)
+        assert exact_fields(got) == exact_fields(want)
     # without a generator it draws from the config's seed
     post = corpus[0].post
-    assert cascade_fields(simulate_cascade(config, post)) == cascade_fields(
+    assert exact_fields(simulate_cascade(config, post)) == exact_fields(
         simulate_cascade(config, post, np.random.default_rng(config.seed)))
+
+
+def assert_same_corpus_as_the_loop(config):
+    """`simulate_corpus` equals the oracle loop field for field, and every
+    event it makes is what the checked constructor makes of its fields."""
+    corpus = simulate_corpus(config)
+    assert [exact_fields(c) for c in corpus] == [
+        exact_fields(c) for c in simulate_corpus_loop(config)]
+    for c in corpus:
+        for e in c.events:
+            checked = Event(e.time, e.publisher, e.content_features, e.text)
+            assert (type(checked.time), checked.time.hex(), checked.publisher,
+                    checked.text) == (type(e.time), e.time.hex(), e.publisher, e.text)
+            assert checked.content_features is e.content_features  # kept as it is
+    return corpus
+
+
+# populations on both sides of numpy's 8-term pairwise block and above 128
+POPULATIONS = [1, 6, 7, 8, 12, 129]
+
+
+@st.composite
+def sim_configs(draw):
+    n_users = draw(st.sampled_from(POPULATIONS))
+    return random_sim_config(
+        n_users=n_users,
+        content_dim=draw(st.sampled_from([0, 3])),
+        seed=draw(st.integers(0, 2**16)),
+        # 0.0 zeroes every weight
+        weight_scale=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        horizon=draw(st.floats(0.5, 10.0 if n_users <= 12 else 2.0)),
+        max_events=draw(st.sampled_from([1, 4, 1000])),
+        n_cascades=draw(st.integers(1, 4)),
+        origin_spacing=draw(st.sampled_from([0.0, 1.5])),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sim_configs())
+def test_simulate_corpus_is_the_loop_bit_for_bit(config):
+    assert_same_corpus_as_the_loop(config)
+
+
+@pytest.mark.parametrize("n_users", POPULATIONS)
+@pytest.mark.parametrize("content_dim", [0, 3])
+def test_the_loop_comparison_covers_truncation_and_silence(n_users, content_dim):
+    # the hypothesis test's corner cases, each shown to occur
+    kw = dict(n_users=n_users, content_dim=content_dim, seed=n_users, n_cascades=6,
+              horizon=10.0 if n_users <= 12 else 1.0)
+    corpus = assert_same_corpus_as_the_loop(random_sim_config(max_events=2, **kw))
+    assert any(c.truncated for c in corpus)
+    corpus = assert_same_corpus_as_the_loop(random_sim_config(weight_scale=0.0, **kw))
+    assert not any(c.comments for c in corpus)
+
+
+def test_a_simulated_event_takes_no_more_memory_than_a_checked_one():
+    rng = np.random.default_rng(0)
+    fields = [(float(t), "u01", rng.random(3)) for t in rng.random(2000)]
+
+    def traced_bytes(make):
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        events = [make(*f) for f in fields]
+        size = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert len(events) == len(fields)
+        return size
+
+    traced_bytes(Event)  # warm up the allocators on both paths
+    traced_bytes(Event._trusted)
+    assert traced_bytes(Event._trusted) <= traced_bytes(Event)
+
+
+def test_attribution_in_the_pairwise_gap_goes_to_the_last_user_with_a_rate():
+    # ten users at 0.1 and two silent ones: the pairwise total is 1.0, the
+    # running sum 1 - 2**-53, so a draw of the running sum is accepted but
+    # lies past every running sum
+    rates = np.array([0.1] * 10 + [0.0, 0.0])
+    running = rates.cumsum()[-1]
+    assert running < np.add.reduce(rates) == 1.0
+    assert rates.cumsum().searchsorted(running, side="right") == rates.size
+    assert _attribute(rates, running) == 9
+    # elsewhere it is the first user whose running sum exceeds the draw
+    assert _attribute(rates, 0.0) == 0
+    assert _attribute(rates, 0.15) == 1
+    assert _attribute(rates, float(np.nextafter(running, 0.0))) == 9
+    assert _attribute(np.array([0.0, 0.5, 0.0]), 0.25) == 1
+
+
+def test_uniform_draws_are_scaled_random_draws():
+    # the thinning loop draws `bound * random()` and `random(k)` for what
+    # were `uniform(0.0, bound)` and `uniform(size=k)`; numpy must give the
+    # same floats and leave the generator in the same state
+    bounds = [1e-300, 1e-12, 0.5, 1.0, 3.7, 1e12, 1e300]
+    bounds += (10.0 ** np.random.default_rng(0).uniform(-300, 300, 50)).tolist()
+    for seed in range(100):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for bound in bounds:
+            for scale in (bound, np.float64(bound)):
+                assert float(a.uniform(0.0, scale)).hex() == float(scale * b.random()).hex()
+        assert a.bit_generator.state == b.bit_generator.state
+    for k in range(1, 21):
+        a, b = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(20):
+            assert a.uniform(size=k).tobytes() == b.random(k).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_different_seeds_differ():
@@ -95,6 +208,16 @@ def test_round_robin_publishers_and_spaced_origins():
 def test_cascade_count_override():
     config = random_sim_config(seed=3, n_cascades=20)
     assert len(simulate_corpus(config, n_cascades=4)) == 4
+    assert simulate_corpus(config, n_cascades=0) == []
+
+
+@pytest.mark.parametrize("n", [-1, -3, 2.5, math.nan, True, "4"])
+def test_a_bad_cascade_count_override_is_refused(n):
+    config = random_sim_config(seed=3, n_cascades=20)
+    with pytest.raises(ConfigError, match="n_cascades"):
+        simulate_corpus(config, n_cascades=n)
+    with pytest.raises(ConfigError, match="n_cascades"):
+        random_sim_config(seed=3, n_cascades=n)
 
 
 # ------------------------------------------------------------------- validity
@@ -195,9 +318,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(users=["solo"], store=config.store, params=config.params,
                   horizon=0.0)
-    with pytest.raises(ConfigError):
-        SimConfig(users=["solo"], store=config.store, params=config.params,
-                  horizon=5.0, max_events=0)
+    for max_events in (0, -1, math.nan, 2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(ConfigError, match="max_events"):
+            SimConfig(users=["solo"], store=config.store, params=config.params,
+                      horizon=5.0, max_events=max_events)
+    assert SimConfig(users=["solo"], store=config.store, params=config.params,
+                     horizon=5.0, max_events=np.int64(3)).max_events == 3
 
 
 def test_config_rejects_dimension_mismatch():
