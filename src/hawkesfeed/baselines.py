@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ACTIVITY_HORIZON,
     ModelParams,
     candidate_cascades,
     event_content,
@@ -105,7 +104,7 @@ class _CoxDesign:
         return np.diff(self.starts, append=self.rows.shape[0])
 
 
-def _cox_design(cascades, store, feature_indices, activity_horizon):
+def _cox_design(cascades, store, feature_indices):
     """The stacked risk sets of every observed comment, in time order.
 
     A comment at global minute t is at risk with what the replay serves at
@@ -118,7 +117,7 @@ def _cox_design(cascades, store, feature_indices, activity_horizon):
     """
     rows, starts, segment, targets = [], [], [], []
     for t, batch, pool in walk_minutes(cascades):
-        active = candidate_cascades(pool, t, "active", activity_horizon)
+        active = candidate_cascades(pool, t, "active")
         for e, target in batch:
             at_risk = active
             if target not in active:  # quiet past the horizon, yet it received e
@@ -167,8 +166,7 @@ def _cox_derivatives(weights, design):
     return grad, expected.T @ expected - design.rows.T @ weighted
 
 
-def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
-            activity_horizon=ACTIVITY_HORIZON):
+def fit_cox(cascades, store, feature_indices=None, max_iterations=500):
     """Maximize the concave partial likelihood from zero weights with
     `fit`'s projected-Newton core, on `_cox_design`'s stacked risk sets
     of the corpus annotated from `store`.
@@ -184,8 +182,7 @@ def fit_cox(cascades, store, feature_indices=None, max_iterations=500,
     feature_indices = np.asarray(feature_indices, dtype=int)
     if feature_indices.size == 0:
         raise EstimationError("no content features selected")
-    design = _cox_design(annotate_corpus(cascades, store), store, feature_indices,
-                         activity_horizon)
+    design = _cox_design(annotate_corpus(cascades, store), store, feature_indices)
     if not design.starts.size:
         raise EstimationError("training corpus has no comments, nothing to fit")
     if np.all(design.sizes == 1):

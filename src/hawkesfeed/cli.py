@@ -116,7 +116,8 @@ def build_parser():
     p.add_argument("--features", required=True, help="feature store")
     p.add_argument("--user", required=True, help="user whose feed to rank")
     p.add_argument("--t", required=True, type=_MINUTES, metavar="MINUTES",
-                   help="global time of the ranking")
+                   help="global time of the ranking; an event at exactly t "
+                        "is not yet counted")
     p.add_argument("--policy", choices=CANDIDATE_POLICIES, default="all",
                    help="candidate cascade policy (default all)")
     p.set_defaults(func=cmd_rank)
@@ -223,8 +224,7 @@ def cmd_rank(args):
     params = io.read_model(args.model)
     cascades = annotate_corpus(cascades, store)
     candidates = candidate_cascades(cascades, args.t, args.policy)
-    built = JumpTable(params, store).states_at(
-        args.user, candidates, [args.t - c.origin for c in candidates])
+    built = JumpTable(params, store).states_at(args.user, candidates, args.t)
     states = {c.cascade_id: s for c, s in zip(candidates, built)}
     ordered = prioritize(args.user, args.t, candidates, states, params, store)
     for position, c in enumerate(ordered):

@@ -18,10 +18,10 @@ and move a jump by an ulp.  Feature vectors are stored contiguous, since
 a dot product over a strided vector may round differently too.
 
 One streaming path carries the intensity: an `IntensityState` holds the
-two terms, `JumpTable.states_at` builds it from scratch at any time for
-a batch of cascades (the reference; `state_at` and `intensity` evaluate
-one), `IntensityState.advance` decays it forward in place and
-`JumpTable.absorb` advances it to a comment's arrival and adds that
+two terms, `JumpTable.states_at` builds it from scratch at a global minute
+for a batch of cascades (the reference; `state_at` and `intensity` evaluate
+one at a relative minute), `IntensityState.advance` decays it forward in
+place and `JumpTable.absorb` advances it to a comment's arrival and adds that
 comment's jump in place.  The decay and the jump are written there and
 nowhere else; `decay_state` and `absorb_event` apply them to a copy and
 leave their input as it was.  The streaming and scratch routes agree to
@@ -34,13 +34,14 @@ rebuilt whenever another tuple takes its place, so they never go stale.
 `rank_eval.prioritize` scores from the columns; `states_at`, the exact
 reference, reads the events.
 
-`Cascade.latest_before` is the one rule for what a cascade did before a
+`Cascade.count_before` is the one rule for what a cascade did before a
 global minute t (`origin + time < t`), so a comment is never its own
-covariate.  Every cross-cascade reader asks it; the intensity scorers
-stay on the relative axis, fed copies that hold only earlier events.
+covariate or in the intensity at its own minute: `latest_before`, every
+cross-cascade reader and both scratch scorers (`JumpTable.states_at`,
+`rank_eval.certified_intensities`, decaying on `t - origin`) ask it.
 `candidate_cascades` is the one rule for which cascades are in play at
 t: the window is open and, under "active", the latest event before t is
-within the horizon.  `walk_minutes` walks the comment stream once, a
+within `ACTIVITY_HORIZON`.  `walk_minutes` walks the comment stream once, a
 minute at a time, with the cascades open then and a growing copy of
 each; the replay (`rank_eval.evaluate_group`) and the COX risk sets
 (`baselines._cox_design`) both walk it, so both see the same cascades.
@@ -121,10 +122,10 @@ class Event:
 class Cascade:
     """One post and its strictly time-ordered comments in a window [0, window_end).
 
-    `origin` is the wall-clock minute at which the post appeared.  It is
-    bookkeeping for cross-cascade work (candidate sets, recency ranking,
-    all through `latest_before`) and never enters within-cascade math,
-    which stays on the relative axis.
+    `origin` is the wall-clock minute at which the post appeared.  It
+    decides which comments came before a global minute (`count_before`,
+    read by candidate sets, recency ranking and the scratch scorers) and
+    never enters within-cascade math, which stays on the relative axis.
 
     `comments` is stored as a tuple, so it cannot change in place: the
     way to add a comment is `append`, which checks it and puts a new tuple
@@ -191,21 +192,25 @@ class Cascade:
     def participants(self):
         return {e.publisher for e in self.events}
 
-    def latest_before(self, t):
-        """The latest event whose global minute `origin + time` is strictly
-        below t, or None: the one rule for what a cascade did before t.
+    def count_before(self, t):
+        """How many comments have a global minute `origin + time` strictly
+        below t: the one rule for what a cascade did before t.
 
-        The events that qualify are a prefix: all of them when the newest
-        comment does, else found by bisection.
+        The comments that qualify are a prefix: all of them when the newest
+        one does, else found by bisection.
         """
         comments, origin = self.comments, self.origin
         # a replay only ever asks after the newest comment: skip the bisection
         if comments and origin + comments[-1].time < t:
-            return comments[-1]
-        k = bisect.bisect_left(comments, t, key=lambda e: origin + e.time)
+            return len(comments)
+        return bisect.bisect_left(comments, t, key=lambda e: origin + e.time)
+
+    def latest_before(self, t):
+        """The latest event before global minute t by `count_before`, or None."""
+        k = self.count_before(t)
         if k:
-            return comments[k - 1]
-        return self.post if origin + self.post.time < t else None
+            return self.comments[k - 1]
+        return self.post if self.origin + self.post.time < t else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,10 +291,10 @@ def comment_stream(cascades):
 CANDIDATE_POLICIES = ("all", "active")
 
 
-def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORIZON):
+def candidate_cascades(cascades, t, policy="all"):
     """The cascades in play at global minute t, in the order given: those
     whose window is open (`origin < t < origin + window_end`) and, under
-    "active", whose `latest_before(t)` is at most `activity_horizon` old."""
+    "active", whose `latest_before(t)` is at most `ACTIVITY_HORIZON` old."""
     if policy not in CANDIDATE_POLICIES:
         raise ConfigError(
             f"unknown candidate policy {policy!r}, pick from {CANDIDATE_POLICIES}"
@@ -300,7 +305,7 @@ def candidate_cascades(cascades, t, policy="all", activity_horizon=ACTIVITY_HORI
             continue
         if policy == "active":
             last = c.latest_before(t)
-            if last is None or t - (c.origin + last.time) > activity_horizon:
+            if last is None or t - (c.origin + last.time) > ACTIVITY_HORIZON:
                 continue
         out.append(c)
     return out
@@ -434,10 +439,10 @@ class IntensityState:
     events; their sum is the intensity at `last_update_time`.  Single
     writer per pair: `advance` and `JumpTable.absorb` update the state in
     place, in O(1), and never rewind; a reader that must not disturb a
-    writer's state uses `decay_state`, which works on a copy.  The clock
-    is the caller's: `state_at` starts it on the cascade's relative axis,
-    and a caller may move `last_update_time` to any axis it then keeps
-    using.
+    writer's state uses `decay_state`, which works on a copy.  A state
+    keeps the clock it was built on: `JumpTable.states_at` clocks it on
+    the global minute it was asked for, the module's `state_at` on the
+    cascade's relative minute.
     """
 
     user: str
@@ -507,40 +512,36 @@ class JumpTable:
         w = self.params.comment_content_weights
         return float(w @ np.ones(w.size))
 
-    def states_at(self, user, cascades, ts):
-        """Scratch-built state of `user` on each cascade at its relative time.
+    def states_at(self, user, cascades, t):
+        """State of `user` on each cascade at global minute t, clocked at t.
 
-        Cascade i's state holds its events strictly before ts[i]; at
-        ts[i] = 0 it is the state at the moment the post appears.  This is
-        the one scratch evaluation of the feature model's intensity.  The
-        content of every comment in the batch is scored by one
-        `_content_scores` call; each cascade's terms are then summed in
-        order, one `math.exp` each, as an event-by-event loop would.
+        A state holds its cascade's `count_before(t)` comments, decayed over
+        relative minutes from x = t - origin (at x = 0 the post has just
+        appeared; x < 0 raises).  This is the one scratch evaluation of the
+        feature model's intensity.  The content of every comment in the
+        batch is scored by one `_content_scores` call; each cascade's terms
+        are then summed in order, one `math.exp` each, as an event-by-event
+        loop would.
         """
-        for t in ts:
-            if t < 0:
-                raise ValueError(f"state requested at negative time {t}")
+        xs = [t - c.origin for c in cascades]
+        if xs and min(xs) < 0:
+            raise ValueError(f"state requested at negative time {min(xs)}")
         p, row = self.params, self._rows[user]
-        prefixes = [c.comments[:bisect.bisect_left(c.comments, t, key=_time)]
-                    for c, t in zip(cascades, ts)]
+        prefixes = [c.comments[:c.count_before(t)] for c in cascades]
         scores = iter(_content_scores(list(chain.from_iterable(prefixes)),
                                       p.comment_content_weights))
         post_scores = _content_scores([c.post for c in cascades],
                                       p.post_content_weights)
         out = []
-        for c, t, prefix, post_score in zip(cascades, ts, prefixes, post_scores):
+        for c, x, prefix, post_score in zip(cascades, xs, prefixes, post_scores):
             b = 0.0
             for e, score in zip(prefix, scores):
                 part = (row.get(e.publisher) or self.pair(user, e.publisher))[1]
-                b += (part + score) * math.exp(-p.comment_decay_rate * (t - e.time))
+                b += (part + score) * math.exp(-p.comment_decay_rate * (x - e.time))
             a = (self.pair(user, c.post.publisher)[0] + post_score) * math.exp(
-                -p.post_decay_rate * t)
+                -p.post_decay_rate * x)
             out.append(IntensityState(user, c.cascade_id, a, b, t))
         return out
-
-    def state_at(self, user, cascade, t):
-        """`states_at` for one cascade."""
-        return self.states_at(user, [cascade], [t])[0]
 
     def absorb(self, state, comment, t, score=None):
         """Move `state` in place to just after `comment` lands at time t on
@@ -558,8 +559,9 @@ class JumpTable:
 
 
 def state_at(user, cascade, t, params, store):
-    """`JumpTable.state_at` on a table of its own."""
-    return JumpTable(params, store).state_at(user, cascade, t)
+    """State at relative minute t: `JumpTable.states_at` on a table of its own,
+    the cascade read at origin 0 (where `0.0 + x == x` and `t - 0.0 == t`)."""
+    return JumpTable(params, store).states_at(user, [replace(cascade, origin=0.0)], t)[0]
 
 
 def intensity(user, cascade, t, params, store):

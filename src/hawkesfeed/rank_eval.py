@@ -27,7 +27,6 @@ states, and every printed intensity, stay on the exact path.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -76,8 +75,7 @@ def prioritize(user, t, cascades, states, params, store):
         return order_candidates(
             cascades, [states[c.cascade_id].intensity for c in cascades], t)
     jumps = JumpTable(params, store)
-    ts = [t - c.origin for c in fresh]
-    scored = certified_intensities(jumps, user, fresh, ts)
+    scored = certified_intensities(jumps, user, fresh, t)
     if scored is not None:
         lam, radius = (v.tolist() for v in scored)
         if len(fresh) < len(cascades):  # supplied states are exact
@@ -89,7 +87,7 @@ def prioritize(user, t, cascades, states, params, store):
         order = sorted(range(len(lam)), key=lam.__getitem__, reverse=True)
         if all(lam[i] - radius[i] > lam[j] + radius[j] for i, j in zip(order, order[1:])):
             return [cascades[i] for i in order]
-    built = dict(zip((c.cascade_id for c in fresh), jumps.states_at(user, fresh, ts)))
+    built = dict(zip((c.cascade_id for c in fresh), jumps.states_at(user, fresh, t)))
     scores = [(states.get(c.cascade_id) or built[c.cascade_id]).intensity
               for c in cascades]
     return order_candidates(cascades, scores, t)
@@ -101,17 +99,18 @@ _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1022  # smallest normal float64
 
 
-def certified_intensities(jumps, user, cascades, ts):
-    """Intensities of `user` on each cascade at its relative time ts[i],
-    close to `jumps.states_at`'s, with a radius bounding the gap; None when
-    the batch cannot be scored this way (a negative time, or content whose
+def certified_intensities(jumps, user, cascades, t):
+    """Intensities of `user` on each cascade at global minute t, close to
+    `jumps.states_at`'s, with a radius bounding the gap; None when the
+    batch cannot be scored this way (t before an origin, or content whose
     width does not fit the model), which `states_at` then reports.
 
-    One vector pass over the cascades' columns: each prefix of comments
-    before ts[i] is found by bisection and the prefixes are concatenated.
-    The jumps and the exponents are the floats `states_at` forms, with
-    the same IEEE operations: `part[publisher] + vecdot(content, w)` and
-    `(-rate) * (t - time)`.  Only two steps differ: `np.exp` in place of
+    One vector pass over the cascades' columns: each is cut to the same
+    prefix as `states_at` reads, `Cascade.count_before(t)` comments, and
+    the prefixes are concatenated.  The jumps and the exponents are the
+    floats `states_at` forms, with the same IEEE operations:
+    `part[publisher] + vecdot(content, w)` and `(-rate) * (x - time)` with
+    x = t - origin.  Only two steps differ: `np.exp` in place of
     `math.exp`, and `np.add.reduceat`'s pairwise sums in place of the
     left-to-right loop.
 
@@ -119,7 +118,7 @@ def certified_intensities(jumps, user, cascades, ts):
     2nd ed., sections 2.1 and 4.2).  Let u = 2^-53, s = 2^-1074 (the
     subnormal spacing) and K = _EXP_ULPS.  A cascade's intensity is a sum
     of at most n + 1 nonnegative terms J_i e_i, the post term and one term
-    per comment before ts[i], where n is the longest prefix in the batch,
+    per comment before t, where n is the longest prefix in the batch,
     e_i is exp of the shared exponent and J_i >= 0 the shared jump.
 
     1. An exp within K ulps returns e(1 + eps) + eta, |eps| <= 2Ku and
@@ -150,14 +149,15 @@ def certified_intensities(jumps, user, cascades, ts):
     """
     if not cascades:
         return np.zeros(0), np.zeros(0)
-    if min(ts) < 0:
+    xs = [t - c.origin for c in cascades]
+    if min(xs) < 0:
         return None
     p = jumps.params
     w = p.comment_content_weights
     times, codes, content, names, firsts, counts = [], [], [], [], [], []
-    for c, t in zip(cascades, ts):
+    for c in cascades:
         cols = c.columns
-        k = bisect.bisect_left(cols.times, t)  # the comments strictly before t
+        k = c.count_before(t)
         counts.append(k)
         if not k:
             continue
@@ -175,8 +175,8 @@ def certified_intensities(jumps, user, cascades, ts):
              for name in {*names, *(e.publisher for e in posts)}}
     post_jumps = np.fromiter((parts[e.publisher][0] for e in posts), float, len(posts)) \
         + _content_scores(posts, p.post_content_weights)
-    ts = np.array(ts)
-    lam = post_jumps * np.exp((-p.post_decay_rate) * ts)
+    xs = np.array(xs)
+    lam = post_jumps * np.exp((-p.post_decay_rate) * xs)
     j_max, n = post_jumps.max(), max(counts)
     if n:
         counts = np.array(counts)
@@ -186,7 +186,7 @@ def certified_intensities(jumps, user, cascades, ts):
             np.concatenate(codes) + np.array(firsts).repeat(counts[live])]
         comment_jumps += np.vecdot(np.concatenate(content), w) if w.size else 0.0
         terms = comment_jumps * np.exp((-p.comment_decay_rate) * (
-            ts.repeat(counts) - np.concatenate(times)))
+            xs.repeat(counts) - np.concatenate(times)))
         b = np.zeros(len(cascades))
         b[live] = np.add.reduceat(terms, (counts.cumsum() - counts)[live])
         lam += b
@@ -199,13 +199,13 @@ def certified_intensities(jumps, user, cascades, ts):
     return lam, (scale * a) * lam + scale * big_b
 
 
-def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
+def mean_activity(cascades, window):
     """Time-average count of active cascades over window = (start, end).
 
     A cascade is active where `candidate_cascades` serves it under
-    "active": on the union over its events e of [e, min(e + horizon,
-    origin + window_end)).  The integrand is piecewise constant, so the
-    integral is exact.
+    "active": on the union over its events e of [e, min(e +
+    ACTIVITY_HORIZON, origin + window_end)).  The integrand is piecewise
+    constant, so the integral is exact.
     """
     w0, w1 = window
     if not w1 > w0:
@@ -215,7 +215,7 @@ def mean_activity(cascades, window, activity_horizon=ACTIVITY_HORIZON):
         spans, closes = [], c.origin + c.window_end
         for e in c.events:
             start = c.origin + e.time
-            end = min(start + activity_horizon, closes)
+            end = min(start + ACTIVITY_HORIZON, closes)
             if spans and start <= spans[-1][1]:
                 spans[-1][1] = end
             else:
@@ -272,9 +272,7 @@ class IntensityRanker:
                 scores.append(s.advance(t, params))
         if fresh:
             built = [candidates[i] for i in fresh]
-            for i, c, s in zip(fresh, built, self.jumps.states_at(
-                    user, built, [t - c.origin for c in built])):
-                s.last_update_time = t
+            for i, c, s in zip(fresh, built, self.jumps.states_at(user, built, t)):
                 states[c.cascade_id][user] = s
                 scores[i] = s.intensity
         self.states = states
@@ -317,8 +315,8 @@ class NNRanker(RecencyRanker):
     every absorbed comment.  Like all serving it reads contents from the
     events: it annotates its training corpus (`annotate_corpus`, the one
     content rule), and `evaluate` annotates the corpus it serves.  A
-    cascade's mean runs over its events up to `Cascade.latest_before(t)`,
-    so a comment landing at t is never part of it.
+    cascade's mean runs over its post and its `Cascade.count_before(t)`
+    comments, so a comment landing at t is never part of it.
     """
 
     def __init__(self, store, train_cascades=()):
@@ -336,12 +334,11 @@ class NNRanker(RecencyRanker):
 
     def representative(self, cascade, t):
         """Mean content of the cascade's events strictly before global minute t."""
-        d, last = self.store.content_dim, cascade.latest_before(t)
-        if last is None:
+        d = self.store.content_dim
+        if not cascade.origin < t:  # the post, at time 0, is not before t either
             return np.zeros(d)
-        events = cascade.events  # those before t are the prefix ending at `last`
-        return np.mean([event_content(e, d) for e in events[:events.index(last) + 1]],
-                       axis=0)
+        events = (cascade.post, *cascade.comments[:cascade.count_before(t)])
+        return np.mean([event_content(e, d) for e in events], axis=0)
 
     def rank(self, user, t, candidates):
         profile = self.profiles.get(user)
@@ -437,7 +434,7 @@ class RankReport:
 
 
 def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
-                   activity_horizon=ACTIVITY_HORIZON, window=None):
+                   window=None):
     """Replay one group's test comments through a ranker.
 
     Each minute of `walk_minutes` ranks all its comments among the same
@@ -448,8 +445,7 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
     """
     trace = []
     for t, batch, pool in walk_minutes(test_cascades):
-        candidates = pool if policy == "all" else candidate_cascades(
-            pool, t, policy, activity_horizon)
+        candidates = pool if policy == "all" else candidate_cascades(pool, t, policy)
         for e, target in batch:
             # the served order holds the copies themselves: found by identity
             if target not in candidates:
@@ -468,7 +464,7 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
             min(c.origin for c in test_cascades),
             max(c.origin + c.comments[-1].time for c in test_cascades if c.comments),
         )
-    activity = mean_activity(test_cascades, window, activity_horizon)
+    activity = mean_activity(test_cascades, window)
     ave = sum(trace) / len(trace)
     return GroupMetrics(
         group_id=group_id,
@@ -488,8 +484,7 @@ def _by_group(cascades):
 
 
 def evaluate(ranker_name, train_cascades, test_cascades, store=None,
-             fit_config=None, model_params=None, policy="all",
-             activity_horizon=ACTIVITY_HORIZON):
+             fit_config=None, model_params=None, policy="all"):
     """Fit the named ranker per group and score it on that group's test set.
 
     Test cascades with participants absent from the group's training data
@@ -522,9 +517,7 @@ def evaluate(ranker_name, train_cascades, test_cascades, store=None,
             train = annotate_corpus(train, store)
             kept = annotate_corpus(kept, store)
         ranker = make_ranker(ranker_name, train, store, fit_config, model_params)
-        report.groups.append(
-            evaluate_group(ranker, kept, gid, policy, activity_horizon)
-        )
+        report.groups.append(evaluate_group(ranker, kept, gid, policy))
     if not report.groups:
         raise ConfigError("no group produced any rankable test comments")
     return report

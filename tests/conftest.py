@@ -194,6 +194,17 @@ def composed_store(corpus, content_dim):
                         character=store.character, relationship=store.relationship)
 
 
+def stretched(cascades, k):
+    """The corpus on a clock k times slower: every comment time, origin and
+    window multiplied by k, contents shared.  A horizon of h minutes on
+    the original is one of k h minutes on the copy."""
+    return [Cascade(c.cascade_id, c.post,
+                    [Event(k * e.time, e.publisher, e.content_features, e.text)
+                     for e in c.comments],
+                    k * c.window_end, c.group_id, k * c.origin, c.truncated)
+            for c in cascades]
+
+
 def query_times(cascade):
     """Before the first comment, exactly at and one ulp after every comment,
     between comments and after the window."""
@@ -322,6 +333,26 @@ def scratch_state_at(user, cascade, t, params, store):
             break
         b += comment_influence(user, c, params, store) * math.exp(
             -params.comment_decay_rate * (t - c.time)
+        )
+    return IntensityState(user, cascade.cascade_id, a, b, t)
+
+
+def scratch_state_at_minute(user, cascade, t, params, store):
+    """Scratch-built state at global minute t, clocked at t: a scan over the
+    comments whose global minute `origin + time` is strictly below t, each
+    term decayed on the relative minutes from x = t - origin."""
+    x = t - cascade.origin
+    if x < 0:
+        raise ValueError(f"state requested at negative time {x}")
+    a = post_influence(user, cascade.post, params, store) * math.exp(
+        -params.post_decay_rate * x
+    )
+    b = 0.0
+    for c in cascade.comments:
+        if cascade.origin + c.time >= t:
+            break
+        b += comment_influence(user, c, params, store) * math.exp(
+            -params.comment_decay_rate * (x - c.time)
         )
     return IntensityState(user, cascade.cascade_id, a, b, t)
 

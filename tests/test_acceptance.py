@@ -252,7 +252,7 @@ def test_06_objectives_are_convex_along_chords():
         gap = nll(a * x + (1 - a) * y) - chord
         worst_main = max(worst_main, gap / max(1.0, abs(chord)))
 
-    design = _cox_design(random_corpus(n_cascades=8, seed=607), store, [0], 720.0)
+    design = _cox_design(random_corpus(n_cascades=8, seed=607), store, [0])
 
     def cox_nll(rho):
         return -cox_partial_log_likelihood(np.array([rho]), design)

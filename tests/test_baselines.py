@@ -184,7 +184,7 @@ def test_cox_partial_likelihood_at_zero_counts_risk_sets():
     # [DERIVED] with zero weights every term is -log(risk set size)
     store = content_store(1)
     corpus = cox_corpus()
-    design = _cox_design(corpus, store, np.array([0]), 720.0)
+    design = _cox_design(corpus, store, np.array([0]))
     expected = -sum(math.log(size) for size in design.sizes.tolist())
     assert cox_partial_log_likelihood(np.zeros(1), design) == pytest.approx(expected)
     # all three cascades start at origin 0 and stay active throughout
@@ -195,7 +195,7 @@ def test_fit_cox_matches_grid_search():
     # [DERIVED] 1-d oracle: dense scan of the partial likelihood
     store = content_store(1)
     corpus = cox_corpus()
-    design = _cox_design(corpus, store, np.array([0]), 720.0)
+    design = _cox_design(corpus, store, np.array([0]))
     grid = np.arange(-5.0, 5.0 + 1e-9, 0.01)
     values = [cox_partial_log_likelihood(np.array([g]), design) for g in grid]
     best = grid[int(np.argmax(values))]

@@ -36,8 +36,8 @@ def exact_order(user, t, candidates, states, params, store):
     """`order_candidates` over exact intensities: supplied states, the rest
     from `states_at`."""
     fresh = [c for c in candidates if c.cascade_id not in states]
-    built = dict(zip((c.cascade_id for c in fresh), JumpTable(params, store).states_at(
-        user, fresh, [t - c.origin for c in fresh])))
+    built = dict(zip((c.cascade_id for c in fresh),
+                     JumpTable(params, store).states_at(user, fresh, t)))
     scores = [(states.get(c.cascade_id) or built[c.cascade_id]).intensity
               for c in candidates]
     return order_candidates(candidates, scores, t)
@@ -96,8 +96,8 @@ def queries(draw):
     t = draw(st.floats(lo, hi + 1.0) | st.sampled_from(at_comment or [lo]))
     candidates = candidate_cascades(corpus, t)
     supplied = [c for c in candidates if draw(st.booleans())]
-    states = dict(zip((c.cascade_id for c in supplied), JumpTable(params, store).states_at(
-        user, supplied, [t - c.origin for c in supplied])))
+    states = dict(zip((c.cascade_id for c in supplied),
+                      JumpTable(params, store).states_at(user, supplied, t)))
     return user, t, candidates, states, params, store
 
 
@@ -111,9 +111,8 @@ def test_prioritize_serves_the_exact_order(query):
 @given(queries())
 def test_every_radius_holds_the_exact_intensity(query):
     user, t, candidates, _, params, store = query
-    ts = [t - c.origin for c in candidates]
-    lam, radius = certified_intensities(JumpTable(params, store), user, candidates, ts)
-    exact = [s.intensity for s in JumpTable(params, store).states_at(user, candidates, ts)]
+    lam, radius = certified_intensities(JumpTable(params, store), user, candidates, t)
+    exact = [s.intensity for s in JumpTable(params, store).states_at(user, candidates, t)]
     assert (np.abs(lam - np.array(exact)) <= radius).all()
     assert (radius >= 0).all()
 
@@ -158,7 +157,7 @@ def test_a_one_ulp_gap_to_a_supplied_state_takes_the_fallback(monkeypatch):
     store, params = direct_store(), make_params()
     a = make_cascade([(1.0, "bo"), (2.0, "cy")], cascade_id="A")
     b = make_cascade([(1.5, "di")], cascade_id="B")
-    exact = JumpTable(params, store).state_at("ana", a, 4.0)
+    exact = JumpTable(params, store).states_at("ana", [a], 4.0)[0]
     for step in (math.inf, -math.inf):
         near = dataclasses.replace(exact, cascade_id="B", post_term=math.nextafter(
             exact.intensity, step), comment_term=0.0)
@@ -176,12 +175,12 @@ def test_a_one_ulp_gap_between_scratch_scores_takes_the_fallback(monkeypatch):
     store, params = direct_store(), make_params()
     a = make_cascade([], cascade_id="A", origin=1.0)
     t = 6.0
-    lam_a = JumpTable(params, store).state_at("bo", a, t - a.origin).intensity
+    lam_a = JumpTable(params, store).states_at("bo", [a], t)[0].intensity
     origin, b = a.origin, None
     for _ in range(200):
         origin = math.nextafter(origin, -math.inf)
         c = make_cascade([], cascade_id="B", origin=origin)
-        lam = JumpTable(params, store).state_at("bo", c, t - c.origin).intensity
+        lam = JumpTable(params, store).states_at("bo", [c], t)[0].intensity
         if lam == math.nextafter(lam_a, -math.inf):
             b = c
             break

@@ -172,7 +172,7 @@ def test_intensity_rejects_negative_time():
 def test_post_influence_checks_dimensions():
     params = make_params(pair_dim=4)
     with pytest.raises(ConfigError):
-        JumpTable(params, direct_store(pair_dim=3)).state_at("bo", make_cascade([]), 0.0)
+        JumpTable(params, direct_store(pair_dim=3)).states_at("bo", [make_cascade([])], 0.0)
 
 
 def test_event_content_without_content_coordinates_ignores_the_event():

@@ -36,6 +36,7 @@ from conftest import (
     fit_cox_loop,
     make_cascade,
     random_corpus,
+    stretched,
     text_corpus,
 )
 
@@ -48,17 +49,19 @@ def content_store(dim=3):
 
 
 def corpora():
-    """(corpus, activity horizon): risk sets from 1 to 14 cascades."""
+    """Risk sets from 1 to 14 cascades: each corpus as drawn and stretched
+    by 90 and by 720, so that the 720-minute horizon spans 8 and 1 of its
+    drawn minutes."""
     for seed in range(4):
         corpus = random_corpus(n_cascades=14, seed=seed, content_dim=3,
                                origin_spacing=3.0, mean_comments=6)
-        for horizon in (720.0, 8.0, 1.0):
-            yield corpus, horizon
+        for k in (1.0, 90.0, 720.0):
+            yield stretched(corpus, k)
 
 
 def test_corpora_cover_small_and_pairwise_summed_risk_sets():
     sizes = np.concatenate([
-        _cox_design(c, content_store(), FEATURES, h).sizes for c, h in corpora()
+        _cox_design(c, content_store(), FEATURES).sizes for c in corpora()
     ])
     # numpy sums 9 or more terms pairwise rather than one by one
     assert {1, 2} <= set(sizes.tolist()) and sizes.max() >= 9
@@ -117,9 +120,9 @@ def test_cox_covariate_matches_the_linear_scan():
 
 def test_stacked_design_holds_the_loop_risk_sets():
     store = content_store()
-    for corpus, horizon in corpora():
-        design = _cox_design(corpus, store, FEATURES, horizon)
-        loop = cox_design_loop(corpus, store, FEATURES, horizon)
+    for corpus in corpora():
+        design = _cox_design(corpus, store, FEATURES)
+        loop = cox_design_loop(corpus, store, FEATURES, ACTIVITY_HORIZON)
         assert design.starts.size == design.targets.size == len(loop)
         assert design.sizes.tolist() == [rows.shape[0] for rows, _ in loop]
         assert (design.targets - design.starts).tolist() == [t for _, t in loop]
@@ -142,7 +145,7 @@ def test_a_closed_window_leaves_the_risk_set():
     b = cascade([(19.0, "cy"), (29.0, "di")], "B", 1.0, 100.0)
     c = cascade([], "C", 2.0, 100.0)
     store = content_store()
-    design = _cox_design([c, b, a], store, FEATURES, ACTIVITY_HORIZON)
+    design = _cox_design([c, b, a], store, FEATURES)
     # A's comment: A, B and C, in origin order; B's two comments: B and C
     assert design.sizes.tolist() == [3, 2, 2]
     assert (design.targets - design.starts).tolist() == [0, 0, 0]
@@ -196,7 +199,7 @@ def test_closing_corpora_hold_what_the_property_needs():
 def test_cox_risk_sets_are_the_active_candidates_plus_the_target(seed):
     corpus = closing_corpus(seed)
     store = content_store()
-    design = _cox_design(corpus, store, FEATURES, ACTIVITY_HORIZON)
+    design = _cox_design(corpus, store, FEATURES)
     stream = comment_stream(corpus)
     assert design.starts.size == len(stream)
     bounds = [*design.starts.tolist(), design.rows.shape[0]]
@@ -214,9 +217,9 @@ def test_stacked_partial_likelihood_and_gradient_match_the_loop():
     store = content_store()
     rng = np.random.default_rng(12)
     worst_value = worst_grad = worst_hess = 0.0
-    for corpus, horizon in corpora():
-        design = _cox_design(corpus, store, FEATURES, horizon)
-        loop = cox_design_loop(corpus, store, FEATURES, horizon)
+    for corpus in corpora():
+        design = _cox_design(corpus, store, FEATURES)
+        loop = cox_design_loop(corpus, store, FEATURES, ACTIVITY_HORIZON)
         weights = [np.zeros(2), np.array([20.0, -20.0])]
         weights += list(rng.uniform(-20.0, 20.0, (20, 2)))
         weights += list(rng.uniform(-1.0, 1.0, (5, 2)))
@@ -243,16 +246,15 @@ def test_stacked_partial_likelihood_and_gradient_match_the_loop():
 
 def test_fit_cox_reaches_the_loop_fit_objective():
     store = content_store()
-    for corpus, horizon in corpora():
+    for corpus in corpora():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            params = fit_cox(corpus, store, FEATURES, activity_horizon=horizon)
-            oracle = fit_cox_loop(corpus, store, FEATURES, max_iterations=20_000,
-                                  activity_horizon=horizon)
-        loop = cox_design_loop(corpus, store, FEATURES, horizon)
+            params = fit_cox(corpus, store, FEATURES)
+            oracle = fit_cox_loop(corpus, store, FEATURES, max_iterations=20_000)
+        loop = cox_design_loop(corpus, store, FEATURES, ACTIVITY_HORIZON)
         value = cox_partial_log_likelihood_loop(params.weights, loop)
         want = cox_partial_log_likelihood_loop(oracle.weights, loop)
-        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (horizon, value, want)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (value, want)
         assert params.feature_names == oracle.feature_names
 
 
@@ -260,11 +262,10 @@ def test_fit_cox_converges_in_a_few_newton_iterations():
     # on the first corpus gradient ascent stopped at its 500-iteration cap,
     # 2.2e-9 short of the optimum; a capped or failed fit warns
     store = content_store()
-    for corpus, horizon in corpora():
+    for corpus in corpora():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit_cox(corpus, store, FEATURES, max_iterations=29,
-                    activity_horizon=horizon)
+            fit_cox(corpus, store, FEATURES, max_iterations=29)
 
 
 @pytest.mark.parametrize("fill", [0.0, 0.5])
@@ -272,17 +273,17 @@ def test_fit_cox_leaves_a_feature_constant_in_every_risk_set_at_zero(fill):
     # the likelihood is flat along such a weight; a bound would also reach
     # every test cascade's score through rank_cox
     store = content_store()
-    for corpus, horizon in corpora():
+    for corpus in corpora():
         for c in corpus:
             for e in c.events:
                 e.content_features[1] = fill
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            params = fit_cox(corpus, store, [0, 1, 2], activity_horizon=horizon)
-            without = fit_cox(corpus, store, FEATURES, activity_horizon=horizon)
+            params = fit_cox(corpus, store, [0, 1, 2])
+            without = fit_cox(corpus, store, FEATURES)
         assert params.weights[1] == 0.0
         # the same optimum: the objective to rounding, the flat weights looser
-        loop = cox_design_loop(corpus, store, FEATURES, horizon)
+        loop = cox_design_loop(corpus, store, FEATURES, ACTIVITY_HORIZON)
         value = cox_partial_log_likelihood_loop(params.weights[FEATURES], loop)
         want = cox_partial_log_likelihood_loop(without.weights, loop)
         assert abs(value - want) <= 1e-12 * abs(want)

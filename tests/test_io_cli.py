@@ -5,9 +5,10 @@ import pytest
 
 from hawkesfeed import cli, io
 from hawkesfeed.cli import main
-from hawkesfeed.core import intensity
+from hawkesfeed.core import Cascade, Event, ModelParams, intensity
 from hawkesfeed.errors import DataFormatError
 from hawkesfeed.features import (
+    FeatureStore,
     Lexicon,
     annotate_corpus,
     build_feature_store,
@@ -16,7 +17,7 @@ from hawkesfeed.features import (
 from hawkesfeed.fit import CVResult
 from hawkesfeed.rank_eval import GroupMetrics, RankReport, evaluate
 
-from conftest import direct_store, make_cascade, make_params, random_corpus
+from conftest import USERS, direct_store, make_cascade, make_params, random_corpus
 
 
 def write_lines(path, records):
@@ -572,6 +573,30 @@ def test_cli_rank_with_no_live_cascades_prints_nothing(tmp_path, capsys):
     assert main(["rank", str(corpus), "--features", str(store),
                  "--model", str(model), "--user", "ana", "--t", "0.0"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_rank_at_a_comment_minute_leaves_out_its_jump(tmp_path, capsys):
+    # at origin 3.0, (3.0 + X) - 3.0 rounds above X; ranked at the
+    # comment's own minute, its jump must not count
+    origin, x = 3.0, 1.9336138302337527
+    assert (origin + x) - origin > x
+    c = Cascade("leak", Event(0.0, "ana"), [Event(x, "bo")], 10.0, origin=origin)
+    store = FeatureStore(pair_names=["p"], content_names=[],
+                         pairs={(u, p): np.ones(1) for u in USERS for p in USERS})
+    params = ModelParams(post_pair_weights=[1.0], post_content_weights=[],
+                         comment_pair_weights=[1.0], comment_content_weights=[])
+    paths = {name: tmp_path / name for name in ("corpus.jsonl", "store.json", "model.json")}
+    io.write_corpus(paths["corpus.jsonl"], [c])
+    io.write_store(paths["store.json"], store)
+    io.write_model(paths["model.json"], params)
+    capsys.readouterr()
+    assert main(["rank", str(paths["corpus.jsonl"]), "--features", str(paths["store.json"]),
+                 "--model", str(paths["model.json"]), "--user", "bo",
+                 "--t", repr(origin + x)]) == 0
+    want = intensity("bo", c, x, params, store)
+    assert capsys.readouterr().out == f"0\tleak\t{want:.6g}\n"
+    # with the jump the rate would be about 1 higher
+    assert want < 1.0
 
 
 def test_cli_warns_when_model_free_ranker_gets_a_model(tmp_path, capsys):

@@ -124,10 +124,11 @@ def test_scratch_intensities_equal_the_oracle():
     for corpus, params, store in model_cases():
         shared = JumpTable(params, store)  # one table across calls, as a query does
         for c in corpus:
+            assert c.origin == 0.0  # the global minute is the relative one
             for user in USERS:
                 for t in query_times(c):
                     want = scratch_state_at(user, c, t, params, store)
-                    for got in (shared.state_at(user, c, t),
+                    for got in (shared.states_at(user, [c], t)[0],
                                 state_at(user, c, t, params, store)):
                         assert got.post_term == want.post_term
                         assert got.comment_term == want.comment_term
@@ -139,7 +140,7 @@ def test_streaming_absorb_equals_the_oracle():
         jumps = JumpTable(params, store)
         for c in corpus:
             for user in USERS:
-                s = jumps.state_at(user, c, 0.0)
+                s = jumps.states_at(user, [c], 0.0)[0]
                 want = scratch_state_at(user, c, 0.0, params, store)
                 for e in c.comments:
                     s = jumps.absorb(s, e, e.time)
@@ -159,7 +160,7 @@ def test_pairwise_model_jumps_equal_the_oracle():
     for c in corpus:
         for user in USERS:
             for t in query_times(c):
-                got = jumps.state_at(user, c, t)
+                got = jumps.states_at(user, [c], t)[0]
                 want = scratch_state_at(user, c, t, params, store)
                 assert (got.post_term, got.comment_term) == (
                     want.post_term, want.comment_term)

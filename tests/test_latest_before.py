@@ -1,9 +1,11 @@
 """One rule decides what a cascade did before a global minute t:
-`Cascade.latest_before(t)`, the latest event with `origin + time < t`.
+`Cascade.count_before(t)`, the number of comments with `origin + time <
+t`, and `Cascade.latest_before(t)`, the latest such event.
 
 Every cross-cascade reader asks it: the active-candidate filter, recency
-(RCHR and every tie-break), the COX covariate and risk sets, and NN's
-cascade representative.  Read on the relative axis instead
+(RCHR and every tie-break), the COX covariate and risk sets, NN's
+cascade representative and the scratch intensity scorers (their tests
+are in test_states_at.py).  Read on the relative axis instead
 (`time < t - origin`), the rule can count a comment as before its own
 global minute, because `(origin + x) - origin` may round above x; then a
 comment was its own COX covariate.
@@ -12,11 +14,11 @@ comment was its own COX covariate.
 import numpy as np
 
 from hawkesfeed.baselines import _cox_design, cox_covariate
-from hawkesfeed.core import Cascade, Event, event_content
+from hawkesfeed.core import ACTIVITY_HORIZON, Cascade, Event, event_content
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.rank_eval import NNRanker, RecencyRanker, candidate_cascades
 
-from conftest import latest_before_scan, random_corpus
+from conftest import latest_before_scan, random_corpus, stretched
 
 # at origin 3.0, (3.0 + X) - 3.0 rounds above X
 ORIGIN, X = 3.0, 1.9336138302337527
@@ -44,7 +46,7 @@ def test_a_comment_target_row_holds_its_cascade_before_it():
     c = rounding_cascade()
     other = Cascade("other", Event(0.0, "cy", [0.5, 0.5, 0.5]),
                     [Event(0.5, "di", [0.4, 0.4, 0.4])], 10.0)
-    design = _cox_design([c, other], content_store(), np.array([0, 1, 2]), 720.0)
+    design = _cox_design([c, other], content_store(), np.array([0, 1, 2]))
     # in time order: other's comment at 0.5, then c's comment at ORIGIN + X
     assert design.sizes.tolist() == [1, 2]
     assert design.rows[design.targets[1]].tolist() == POST
@@ -57,12 +59,14 @@ def test_a_comment_is_not_in_its_own_nn_representative():
 
 
 def test_every_reader_agrees_with_latest_before_at_and_after_each_event():
-    store, horizon, features = content_store(), 2.5, np.array([0, 2])
+    # stretched by 288, the 720-minute horizon spans 2.5 drawn minutes
+    store, features = content_store(), np.array([0, 2])
     nn = NNRanker(store)
     probed = rounded = 0
     for seed in range(6):
-        cascades = random_corpus(n_cascades=10, seed=seed, content_dim=3,
-                                 window_end=12.0, origin_spacing=0.7 + 0.1 * seed)
+        cascades = stretched(random_corpus(
+            n_cascades=10, seed=seed, content_dim=3, window_end=12.0,
+            origin_spacing=0.7 + 0.1 * seed), 288.0)
         instants = sorted({c.origin + e.time for c in cascades for e in c.events})
         for at in instants:
             for t in (at, float(np.nextafter(at, np.inf))):
@@ -70,6 +74,8 @@ def test_every_reader_agrees_with_latest_before_at_and_after_each_event():
                 for c in cascades:
                     last = latest[c.cascade_id] = c.latest_before(t)
                     assert last is latest_before_scan(c, t), (c.cascade_id, t)
+                    assert c.count_before(t) == sum(
+                        c.origin + e.time < t for e in c.comments), (c.cascade_id, t)
                     rounded += any(c.origin + e.time == t and t - c.origin > e.time
                                    for e in c.events)
                     cov = cox_covariate(c, t, store, features)
@@ -89,11 +95,11 @@ def test_every_reader_agrees_with_latest_before_at_and_after_each_event():
                 served = RecencyRanker().rank("ana", t, cascades)
                 assert served == sorted(cascades,
                                         key=lambda c: (-recency(c), c.cascade_id))
-                active = candidate_cascades(cascades, t, "active", horizon)
+                active = candidate_cascades(cascades, t, "active")
                 assert active == [
                     c for c in cascades
                     if c.origin < t < c.origin + c.window_end
-                    and t - recency(c) <= horizon
+                    and t - recency(c) <= ACTIVITY_HORIZON
                 ]
                 probed += 1
     assert probed > 500

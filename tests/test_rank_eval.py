@@ -25,7 +25,14 @@ from hawkesfeed.rank_eval import (
 from hawkesfeed.fit import FitConfig
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
-from conftest import USERS, direct_store, hwk_intensity, make_cascade, make_params
+from conftest import (
+    USERS,
+    direct_store,
+    hwk_intensity,
+    make_cascade,
+    make_params,
+    stretched,
+)
 
 
 class IdentityRanker:
@@ -105,11 +112,12 @@ def test_candidate_window_bounds_are_strict():
 
 
 def test_active_policy_requires_a_fresh_event():
+    # stretched by 144, the 720-minute horizon spans 5 drawn minutes
     a = make_cascade([(1.0, "bo")], cascade_id="A", origin=0.0, window_end=30.0)
     b = make_cascade([(24.0, "cy")], cascade_id="B", origin=0.0, window_end=30.0)
-    both = [a, b]
-    assert ids(candidate_cascades(both, 25.0, "all")) == ["A", "B"]
-    assert ids(candidate_cascades(both, 25.0, "active", activity_horizon=5.0)) == ["B"]
+    both = stretched([a, b], 144.0)
+    assert ids(candidate_cascades(both, 25.0 * 144.0, "all")) == ["A", "B"]
+    assert ids(candidate_cascades(both, 25.0 * 144.0, "active")) == ["B"]
 
 
 def test_unknown_policy_is_rejected():
@@ -150,8 +158,10 @@ def test_mean_activity_ends_when_the_window_closes():
     # is 720 old: active on [5, 35), as the "active" candidates are
     a = make_cascade([(10.0, "bo")], cascade_id="A", origin=5.0, window_end=30.0)
     assert mean_activity([a], (0.0, 720.0)) == pytest.approx(30.0 / 720.0)
-    # with a 4-minute horizon: [5, 9) and [15, 19), both inside the window
-    assert mean_activity([a], (0.0, 40.0), activity_horizon=4.0) == pytest.approx(0.2)
+    # stretched by 180, a 4-minute horizon: [5, 9) and [15, 19), both
+    # inside the window
+    assert mean_activity(stretched([a], 180.0), (0.0, 40.0 * 180.0)) \
+        == pytest.approx(0.2)
     assert ids(candidate_cascades([a], 34.9, "active")) == ["A"]
     assert candidate_cascades([a], 35.0, "active") == []
 
@@ -159,13 +169,15 @@ def test_mean_activity_ends_when_the_window_closes():
 def test_mean_activity_matches_discretization(sim_setup):
     # [DERIVED] midpoint Riemann sum over a fine grid of the "active"
     # candidate count
+    # stretched by 120, the 720-minute horizon spans 6 drawn minutes, and
+    # the grid is stretched with it
     _, corpus = sim_setup
-    cascades = corpus[:12]
-    window = (0.0, 40.0)
-    horizon = 6.0
-    exact = mean_activity(cascades, window, activity_horizon=horizon)
-    grid = np.arange(window[0] + 0.005, window[1], 0.01)
-    count = [len(candidate_cascades(cascades, s, "active", horizon)) for s in grid]
+    k = 120.0
+    cascades = stretched(corpus[:12], k)
+    window = (0.0, 40.0 * k)
+    exact = mean_activity(cascades, window)
+    grid = np.arange(window[0] + 0.005 * k, window[1], 0.01 * k)
+    count = [len(candidate_cascades(cascades, s, "active")) for s in grid]
     # some windows close inside the evaluation window
     assert any(c.origin + c.window_end < window[1] for c in cascades)
     assert abs(float(np.mean(count)) - exact) < 0.01
@@ -228,9 +240,10 @@ def test_group_without_comments_is_an_error():
 
 
 def test_target_outside_candidates_is_an_error():
+    # stretched by 144, the 720-minute horizon spans 5 drawn minutes
     a = make_cascade([(1.0, "bo"), (20.0, "cy")], cascade_id="A", window_end=30.0)
     with pytest.raises(ConfigError, match="fell out of the candidate set"):
-        evaluate_group(IdentityRanker(), [a], policy="active", activity_horizon=5.0)
+        evaluate_group(IdentityRanker(), stretched([a], 144.0), policy="active")
 
 
 def test_replay_does_not_mutate_the_input(sim_setup):

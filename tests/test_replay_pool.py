@@ -14,7 +14,7 @@ import pytest
 
 from hawkesfeed import core, rank_eval
 from hawkesfeed.baselines import _cox_design, order_candidates
-from hawkesfeed.core import ACTIVITY_HORIZON, Cascade, candidate_cascades
+from hawkesfeed.core import Cascade, candidate_cascades
 from hawkesfeed.rank_eval import RecencyRanker, evaluate_group
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
@@ -111,7 +111,7 @@ def cox_lookups_per_comment(monkeypatch, n_cascades):
                         lambda c, t: calls.append(c) or real(c, t))
     train = replay_half(n_cascades)
     store = random_sim_config(n_users=6, seed=3, n_cascades=n_cascades).store
-    design = _cox_design(train, store, np.arange(store.content_dim), ACTIVITY_HORIZON)
+    design = _cox_design(train, store, np.arange(store.content_dim))
     monkeypatch.undo()
     return len(calls) / design.starts.size, len(train)
 

@@ -1,22 +1,34 @@
-"""`JumpTable.states_at` against the event-by-event scratch loop.
+"""`JumpTable.states_at` against the event-by-event scratch loops.
 
-`states_at` scores the comment prefixes of a whole batch of cascades in
-one vector pass; the oracle in conftest.py (`scratch_state_at`) walks
-them one event at a time with one dot product each.  The floats must be
+`states_at` scores the comment prefixes of a whole batch of cascades at
+one global minute t in one vector pass; the oracles in conftest.py walk
+them one event at a time with one dot product each:
+`scratch_state_at_minute` at a global minute, `scratch_state_at` at a
+relative one, which is the same thing at origin 0.  The floats must be
 equal, not close: a moved ulp can flip a near-tie in a served rank.
+
+A comment is before t when its global minute `origin + time` is, as
+`Cascade.count_before` decides for every reader.  Asked on the relative
+axis instead (`time < t - origin`), the rule counts a comment's own jump
+at its global minute wherever `(origin + x) - origin` rounds above x.
 """
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hawkesfeed.baselines import order_candidates
-from hawkesfeed.core import Cascade, Event, JumpTable, ModelParams, intensity
+from hawkesfeed.core import Cascade, Event, JumpTable, ModelParams, intensity, state_at
 from hawkesfeed.errors import ConfigError
+from hawkesfeed.features import FeatureStore
 from hawkesfeed.rank_eval import (
     IntensityRanker,
     candidate_cascades,
+    certified_intensities,
     evaluate_group,
     prioritize,
 )
@@ -30,6 +42,7 @@ from conftest import (
     query_times,
     random_corpus,
     scratch_state_at,
+    scratch_state_at_minute,
     strip_some_content,
 )
 
@@ -65,17 +78,108 @@ def test_cases_cover_layouts_dims_and_bare_events():
         assert sizes == ({0, params.content_dim} if params.content_dim else {0})
 
 
+def prefix_kind(cascade, t):
+    k = cascade.count_before(t)
+    return "empty" if not k else "full" if k == len(cascade.comments) else "partial"
+
+
 def test_one_batch_equals_the_oracle_state_by_state():
+    # one call per global minute over every cascade opened by then: the
+    # differing origins give empty, partial and full prefixes in one call
+    mixed = 0
     for corpus, params, store in model_cases():
-        batch = [(c, t) for c in corpus for t in query_times(c)]
-        rng = np.random.default_rng(0)
-        batch = [batch[i] for i in rng.permutation(len(batch))]
+        minutes = sorted({c.origin + x for c in corpus for x in query_times(c)})
         for user in USERS:
-            got = JumpTable(params, store).states_at(
-                user, [c for c, _ in batch], [t for _, t in batch])
-            assert len(got) == len(batch)
-            for s, (c, t) in zip(got, batch):
-                assert_same_state(s, scratch_state_at(user, c, t, params, store))
+            jumps = JumpTable(params, store)
+            for t in minutes:
+                batch = [c for c in corpus if c.origin <= t]
+                got = jumps.states_at(user, batch, t)
+                assert len(got) == len(batch)
+                for s, c in zip(got, batch):
+                    assert_same_state(s, scratch_state_at_minute(user, c, t, params, store))
+                mixed += {prefix_kind(c, t) for c in batch} == {"empty", "partial", "full"}
+    assert mixed > 100
+
+
+def rounding_minutes(corpus):
+    """Global minutes of the comments whose relative minute, recovered as
+    `(origin + time) - origin`, is not their time."""
+    return [c.origin + e.time for c in corpus for e in c.comments
+            if (c.origin + e.time) - c.origin != e.time]
+
+
+@st.composite
+def minute_queries(draw):
+    """A random corpus at irregular origins, a model and store, and one
+    global minute: exactly at a comment of some cascade (often one whose
+    relative minute, recomputed, rounds off its time), one ulp after, or
+    anywhere.  The batch is every cascade opened by then."""
+    content_dim = draw(st.sampled_from([0, 2, 3]))
+    seed = draw(st.integers(0, 10_000))
+    corpus = strip_some_content(
+        random_corpus(n_cascades=draw(st.integers(2, 8)), seed=seed,
+                      content_dim=content_dim, mean_comments=draw(st.integers(1, 12)),
+                      origin_spacing=draw(st.sampled_from([0.7, math.pi, 3.0, 0.0]))),
+        seed)
+    if draw(st.booleans()):
+        store = direct_store(3, content_dim, seed=seed)
+        params = make_params(3, content_dim, seed=seed)
+    else:
+        store = composed_store(corpus, content_dim)
+        params = make_params(store.pair_dim, content_dim, seed=seed)
+    minutes = [c.origin + e.time for c in corpus for e in c.comments]
+    where = draw(st.sampled_from(["rounds", "at", "after", "anywhere"]))
+    if where == "anywhere":
+        t = draw(st.floats(0.0, corpus[-1].origin + corpus[-1].window_end))
+    else:
+        t = draw(st.sampled_from(
+            rounding_minutes(corpus) or minutes if where == "rounds" else minutes))
+        if where == "after":
+            t = math.nextafter(t, math.inf)
+    batch = [c for c in corpus if c.origin <= t]
+    return draw(st.sampled_from(USERS)), t, batch, params, store
+
+
+def test_minute_corpora_hold_comments_whose_relative_minute_rounds_up():
+    # the comments a rule on the relative axis would count at their own minute
+    above = 0
+    for seed in range(20):
+        for spacing in (0.7, 3.0, math.pi):
+            corpus = random_corpus(n_cascades=8, seed=seed, origin_spacing=spacing)
+            above += sum((c.origin + e.time) - c.origin > e.time
+                         for c in corpus for e in c.comments)
+    assert above >= 100
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(minute_queries())
+def test_states_at_is_the_minute_oracle_and_inside_the_certified_radius(query):
+    user, t, batch, params, store = query
+    jumps = JumpTable(params, store)
+    got = jumps.states_at(user, batch, t)
+    assert len(got) == len(batch)
+    for s, c in zip(got, batch):
+        assert_same_state(s, scratch_state_at_minute(user, c, t, params, store))
+    lam, radius = certified_intensities(jumps, user, batch, t)
+    assert (np.abs(lam - np.array([s.intensity for s in got])) <= radius).all()
+
+
+def test_a_comment_adds_no_jump_at_its_own_global_minute():
+    # at origin 3.0, (3.0 + X) - 3.0 rounds above X: decided on the
+    # relative axis, the comment by "bo" counted at its own minute
+    origin, x = 3.0, 1.9336138302337527
+    assert (origin + x) - origin > x
+    store = FeatureStore(pair_names=["p"], content_names=[],
+                         pairs={(u, p): np.ones(1) for u in USERS for p in USERS})
+    params = ModelParams(post_pair_weights=[1.0], post_content_weights=[],
+                         comment_pair_weights=[1.0], comment_content_weights=[])
+    c = Cascade("leak", Event(0.0, "ana"), [Event(x, "bo")], 10.0, origin=origin)
+    jumps = JumpTable(params, store)
+    s = jumps.states_at("cy", [c], origin + x)[0]
+    assert s.comment_term == 0.0
+    assert s.intensity == intensity("cy", c, x, params, store)
+    lam, radius = certified_intensities(jumps, "cy", [c], origin + x)
+    assert abs(lam[0] - s.intensity) <= radius[0]
 
 
 def test_single_cascades_and_zero_length_prefixes_equal_the_oracle():
@@ -83,17 +187,22 @@ def test_single_cascades_and_zero_length_prefixes_equal_the_oracle():
         jumps = JumpTable(params, store)
         for c in corpus:
             for user in USERS:
-                # t = 0 and t exactly at the first comment both see no comment
-                for t in (0.0, c.comments[0].time, *query_times(c)):
-                    want = scratch_state_at(user, c, t, params, store)
-                    assert_same_state(jumps.state_at(user, c, t), want)
-                    assert intensity(user, c, t, params, store) == want.intensity
-        # a batch whose prefixes are all empty
-        got = jumps.states_at("bo", corpus, [0.0] * len(corpus))
-        for s, c in zip(got, corpus):
+                # x = 0 and x exactly at the first comment both see no comment
+                for x in (0.0, c.comments[0].time, *query_times(c)):
+                    t = c.origin + x
+                    assert_same_state(jumps.states_at(user, [c], t)[0],
+                                      scratch_state_at_minute(user, c, t, params, store))
+                    want = scratch_state_at(user, c, x, params, store)
+                    assert_same_state(state_at(user, c, x, params, store), want)
+                    assert intensity(user, c, x, params, store) == want.intensity
+        # a batch whose prefixes are all empty: every post at the same minute
+        t = corpus[-1].origin
+        level = [dataclasses.replace(c, origin=t) for c in corpus]
+        got = jumps.states_at("bo", level, t)
+        for s, c in zip(got, level):
             assert s.comment_term == 0.0
-            assert_same_state(s, scratch_state_at("bo", c, 0.0, params, store))
-    assert JumpTable(params, store).states_at("bo", [], []) == []
+            assert_same_state(s, scratch_state_at_minute("bo", c, t, params, store))
+    assert JumpTable(params, store).states_at("bo", [], 0.0) == []
 
 
 def test_one_long_prefix_among_many_empty_ones():
@@ -105,18 +214,18 @@ def test_one_long_prefix_among_many_empty_ones():
                         content_dim=3, window_end=100.0)
     empty = [make_cascade([], cascade_id=f"e{i}", post_content=np.full(3, 0.5),
                           content_dim=3) for i in range(500)]
-    batch, ts = [*empty[:250], long, *empty[250:]], [1.0] * 250 + [50.0] + [1.0] * 250
+    batch, t = [*empty[:250], long, *empty[250:]], 50.0
     jumps = JumpTable(params, store)
-    jumps.states_at("ana", batch, ts)  # fill the table
+    jumps.states_at("ana", batch, t)  # fill the table
     tracemalloc.start()
     try:
-        got = jumps.states_at("ana", batch, ts)
+        got = jumps.states_at("ana", batch, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # a padded 501 x 2000 float array alone is 8 MB
-    for s, c, t in zip(got, batch, ts):
-        assert_same_state(s, scratch_state_at("ana", c, t, params, store))
+    for s, c in zip(got, batch):
+        assert_same_state(s, scratch_state_at_minute("ana", c, t, params, store))
 
 
 def test_prioritize_equals_the_oracle_order():
@@ -125,7 +234,7 @@ def test_prioritize_equals_the_oracle_order():
         lo, hi = corpus[0].origin, corpus[-1].origin + corpus[-1].window_end
         for user, t in zip(rng.choice(USERS, 30), rng.uniform(lo, hi, 30)):
             candidates = candidate_cascades(corpus, t)
-            scores = [scratch_state_at(user, c, t - c.origin, params, store).intensity
+            scores = [scratch_state_at_minute(user, c, t, params, store).intensity
                       for c in candidates]
             assert prioritize(user, t, candidates, {}, params, store) \
                 == order_candidates(candidates, scores, t)
@@ -141,8 +250,7 @@ class CheckedRanker(IntensityRanker):
                  if user not in self.states.get(c.cascade_id, {})]
         served = super().rank(user, t, candidates)
         for c in fresh:
-            want = scratch_state_at(user, c, t - c.origin, self.params, self.store)
-            want.last_update_time = t
+            want = scratch_state_at_minute(user, c, t, self.params, self.store)
             assert_same_state(self.states[c.cascade_id][user], want)
         self.largest_batch = max(self.largest_batch, len(fresh))
         return served
@@ -159,11 +267,14 @@ def test_intensity_ranker_builds_its_states_like_the_oracle(policy):
 def test_negative_time_still_raises():
     params, store = make_params(), direct_store()
     c = make_cascade([(1.0, "bo"), (2.0, "cy")])
+    later = dataclasses.replace(c, origin=2.0)
     jumps = JumpTable(params, store)
     with pytest.raises(ValueError, match="negative time"):
-        jumps.states_at("ana", [c, c], [1.5, -0.5])
+        jumps.states_at("ana", [c, later], 1.5)
     with pytest.raises(ValueError, match="negative time"):
-        jumps.state_at("ana", c, -1e-9)
+        jumps.states_at("ana", [later], math.nextafter(2.0, -math.inf))
+    with pytest.raises(ValueError, match="negative time"):
+        state_at("ana", c, -1e-9, params, store)
 
 
 @pytest.mark.parametrize("sizes", [[0, 6, 3], [3, 2], [3, 3, 4], [1, 1, 1]])
@@ -176,7 +287,7 @@ def test_mixed_content_sizes_raise(sizes):
     with pytest.raises(ConfigError):
         scratch_state_at("ana", c, t, params, store)
     with pytest.raises(ConfigError):
-        JumpTable(params, store).states_at("ana", [c], [t])
+        JumpTable(params, store).states_at("ana", [c], t)
 
 
 def test_content_outside_the_prefix_is_not_read():
@@ -185,7 +296,7 @@ def test_content_outside_the_prefix_is_not_read():
     c = make_cascade([(1.0, "bo", np.full(3, 0.5)), (2.0, "cy", np.full(6, 0.5))],
                      post_content=np.full(3, 0.5), content_dim=3)
     for t in (1.5, 2.0):
-        assert_same_state(JumpTable(params, store).state_at("ana", c, t),
+        assert_same_state(JumpTable(params, store).states_at("ana", [c], t)[0],
                           scratch_state_at("ana", c, t, params, store))
 
 
@@ -194,7 +305,7 @@ def test_post_content_of_the_wrong_size_raises():
     c = make_cascade([(1.0, "bo", np.full(3, 0.5))], post_content=np.full(2, 0.5),
                      content_dim=3)
     with pytest.raises(ConfigError):
-        JumpTable(params, store).states_at("ana", [c], [0.0])
+        JumpTable(params, store).states_at("ana", [c], 0.0)
 
 
 def test_vecdot_equals_per_row_dots():
@@ -235,7 +346,7 @@ def test_strided_content_scores_like_its_contiguous_copy():
         states = []
         for p, c in (strided, copied):
             jumps = JumpTable(p, store)
-            s, trail = jumps.state_at(user, c, 0.0), []
+            s, trail = jumps.states_at(user, [c], 0.0)[0], []
             for e in c.comments:
                 s = jumps.absorb(s, e, e.time)
                 trail.append((s.post_term, s.comment_term))
