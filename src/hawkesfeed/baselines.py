@@ -126,8 +126,6 @@ def _cox_design(cascades, store, feature_indices):
             starts.append(len(rows))
             targets.append(len(rows) + at_risk.index(target))
             rows += [_covariate(c.latest_before(t), store, feature_indices) for c in at_risk]
-        for e, target in batch:
-            target.append(e)
     return _CoxDesign(
         rows=np.array(rows, dtype=float).reshape(len(rows), len(feature_indices)),
         starts=np.array(starts, dtype=int),
@@ -327,7 +325,7 @@ def fit_hwk_em(cascades, post_decay_rate=0.001, comment_decay_rate=0.01,
     c_k is the exposure of column k's publisher.  One iteration costs
     O(nonzeros) and the trace is monotone.  Stops when the log-likelihood
     moves less than `tolerance` ("tolerance") or after `max_iterations`
-    ("iteration cap").
+    ("iteration cap"), which warns.
     """
     if not any(c.comments for c in cascades):
         raise EstimationError("training corpus has no comments, nothing to fit")
@@ -352,6 +350,10 @@ def fit_hwk_em(cascades, post_decay_rate=0.001, comment_decay_rate=0.01,
         if abs(trace[-1] - trace[-2]) < tolerance:
             stop_reason = "tolerance"
             break
+    if stop_reason != "tolerance":
+        warnings.warn(f"pairwise EM stopped on its iteration cap, with max_iterations="
+                      f"{max_iterations}, before the log-likelihood moved by less than "
+                      f"tolerance={tolerance:g}", stacklevel=2)
     n_post = len(design.post_keys)
     params = PairwiseHawkesParams(
         post_rates=dict(zip(design.post_keys, theta[:n_post].tolist())),

@@ -27,12 +27,11 @@ nowhere else; `decay_state` and `absorb_event` apply them to a copy and
 leave their input as it was.  The streaming and scratch routes agree to
 floating-point accuracy.
 
-A `Cascade` holds its comments as a tuple; `Cascade.append` adds one.
+A `Cascade` never changes once built: its comments are a tuple, and
 `Cascade.columns` gives them as `CascadeColumns` (times, publisher codes
-and a content matrix), built on first read for the tuple in place and
-rebuilt whenever another tuple takes its place, so they never go stale.
-`rank_eval.prioritize` scores from the columns; `states_at`, the exact
-reference, reads the events.
+and a content matrix), built once on first read.  `rank_eval.prioritize`
+scores from the columns; `states_at`, the exact reference, reads the
+events.
 
 `Cascade.count_before` is the one rule for what a cascade did before a
 global minute t (`origin + time < t`), so a comment is never its own
@@ -42,8 +41,9 @@ cross-cascade reader and both scratch scorers (`JumpTable.states_at`,
 `candidate_cascades` is the one rule for which cascades are in play at
 t: the window is open and, under "active", the latest event before t is
 within `ACTIVITY_HORIZON`.  `walk_minutes` walks the comment stream once, a
-minute at a time, with the cascades open then and a growing copy of
-each; the replay (`rank_eval.evaluate_group`) and the COX risk sets
+minute at a time, with the cascades open then, whole: a reader sees what
+one did before t through `count_before(t)`.  The replay
+(`rank_eval.evaluate_group`) and the COX risk sets
 (`baselines._cox_design`) both walk it, so both see the same cascades.
 """
 
@@ -51,8 +51,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 
@@ -118,7 +119,7 @@ class Event:
         return e
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Cascade:
     """One post and its strictly time-ordered comments in a window [0, window_end).
 
@@ -127,11 +128,9 @@ class Cascade:
     read by candidate sets, recency ranking and the scratch scorers) and
     never enters within-cascade math, which stays on the relative axis.
 
-    `comments` is stored as a tuple, so it cannot change in place: the
-    way to add a comment is `append`, which checks it and puts a new tuple
-    in place.  `columns` holds the comments as arrays and is rebuilt
-    whenever `comments` is not the very tuple it was built from, so it
-    never goes stale.
+    A cascade never changes: its fields cannot be assigned, and `comments`
+    is stored as a tuple.  So `columns` and the comments' global minutes
+    are each built once, on first read.
     """
 
     cascade_id: str
@@ -149,41 +148,35 @@ class Cascade:
             raise ValueError(f"cascade {self.cascade_id}: window_end must be positive")
         if not math.isfinite(self.origin):
             raise ValueError(f"cascade {self.cascade_id}: origin must be finite")
-        self.comments = tuple(self.comments)
+        object.__setattr__(self, "comments", tuple(self.comments))
         prev = 0.0
         for c in self.comments:
-            if not prev < c.time < self.window_end:
-                self._refuse(c, prev)
+            if not prev < c.time:
+                raise ValueError(
+                    f"cascade {self.cascade_id}: comment times must be strictly "
+                    f"increasing and after the post (got {c.time} after {prev})"
+                )
             prev = c.time
-        self._columns = None
-
-    def _refuse(self, comment, prev):
-        if comment.time <= prev:
+        if not prev < self.window_end:  # the newest comment is the latest
             raise ValueError(
-                f"cascade {self.cascade_id}: comment times must be strictly "
-                f"increasing and after the post (got {comment.time} after {prev})"
+                f"cascade {self.cascade_id}: comment at {prev} outside the "
+                f"window [0, {self.window_end})"
             )
-        raise ValueError(
-            f"cascade {self.cascade_id}: comment at {comment.time} outside the "
-            f"window [0, {self.window_end})"
-        )
+        object.__setattr__(self, "_minutes", None)  # built by `_global_minutes`
 
-    def append(self, comment):
-        """Add a comment after the newest one, inside the window."""
-        comments = self.comments
-        prev = comments[-1].time if comments else 0.0
-        if not prev < comment.time < self.window_end:
-            self._refuse(comment, prev)
-        self.comments = comments + (comment,)
-
-    @property
+    @cached_property
     def columns(self):
-        """The comments as `CascadeColumns`, built on first read and again
-        whenever `comments` is no longer the tuple they were built from."""
-        cols = self._columns
-        if cols is None or cols.comments is not self.comments:
-            cols = self._columns = CascadeColumns.of(tuple(self.comments))
-        return cols
+        """The comments as `CascadeColumns`."""
+        return CascadeColumns.of(self.comments)
+
+    def _global_minutes(self):
+        # each comment's global minute (the float `comment_stream` forms) as
+        # packed doubles, a quarter of a float list's memory, which `bisect`
+        # reads through a memoryview; kept in a plain attribute, because a
+        # filled cached_property slows every attribute read of the cascade
+        minutes = np.array([self.origin + e.time for e in self.comments], dtype=float).data
+        object.__setattr__(self, "_minutes", minutes)
+        return minutes
 
     @property
     def events(self):
@@ -194,20 +187,14 @@ class Cascade:
 
     def count_before(self, t):
         """How many comments have a global minute `origin + time` strictly
-        below t: the one rule for what a cascade did before t.
-
-        The comments that qualify are a prefix: all of them when the newest
-        one does, else found by bisection.
-        """
-        comments, origin = self.comments, self.origin
-        # a replay only ever asks after the newest comment: skip the bisection
-        if comments and origin + comments[-1].time < t:
-            return len(comments)
-        return bisect.bisect_left(comments, t, key=lambda e: origin + e.time)
+        below t: the one rule for what a cascade did before t."""
+        minutes = self._minutes
+        return bisect.bisect_left(self._global_minutes() if minutes is None else minutes, t)
 
     def latest_before(self, t):
         """The latest event before global minute t by `count_before`, or None."""
-        k = self.count_before(t)
+        minutes = self._minutes
+        k = bisect.bisect_left(self._global_minutes() if minutes is None else minutes, t)
         if k:
             return self.comments[k - 1]
         return self.post if self.origin + self.post.time < t else None
@@ -215,8 +202,7 @@ class Cascade:
 
 @dataclass(frozen=True, eq=False)
 class CascadeColumns:
-    """A cascade's comments as arrays, for the one `comments` tuple they
-    were built from.
+    """A cascade's comments as arrays.
 
     `times` are the relative minutes; `codes[i]` indexes comment i's
     publisher in `publishers`, which lists each publisher once, in order of
@@ -226,7 +212,6 @@ class CascadeColumns:
     and `content` is None when two widths differ.
     """
 
-    comments: tuple
     times: np.ndarray
     publishers: tuple
     codes: np.ndarray
@@ -252,7 +237,7 @@ class CascadeColumns:
         for a in (times, codes, content):
             if a is not None:
                 a.flags.writeable = False
-        return cls(comments, times, tuple(index), codes, content)
+        return cls(times, tuple(index), codes, content)
 
 
 def separate_ties(times):
@@ -315,16 +300,18 @@ def walk_minutes(cascades):
     """The comment stream a global minute at a time, with the open cascades.
 
     Yields `(t, batch, open)` per distinct minute t of `comment_stream`:
-    `batch` pairs each comment at t with a post-only copy of its cascade,
-    and `open` is `candidate_cascades` of the copies at t, in
-    `in_play_order`.  The caller appends each comment to its copy once it
-    has handled the whole minute, so a copy holds its cascade's events
-    before t.  `open` is a pool that a copy joins once its origin precedes
-    t and leaves once its window has closed; it is refiltered only then,
-    so the work per minute does not grow with the number of cascades.
+    `batch` pairs each comment at t with its cascade, and `open` is
+    `candidate_cascades` of the cascades at t, in `in_play_order`.  The
+    cascades are the caller's own, whole: what one did before t is what
+    `count_before(t)` and `latest_before(t)` read.  `open` is a pool that a
+    cascade joins once its origin precedes t and leaves once its window has
+    closed; it is refiltered only then, so the work per minute does not
+    grow with the number of cascades.  A cascade id may appear only once.
     """
-    copies = {c.cascade_id: replace(c, comments=()) for c in cascades}
-    ordered = sorted(copies.values(), key=in_play_order)
+    repeated = [cid for cid, n in Counter(c.cascade_id for c in cascades).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"cascade id {repeated[0]!r} appears twice")
+    ordered = sorted(cascades, key=in_play_order)
     pool, admitted, closes = [], 0, math.inf
     for t, rows in groupby(comment_stream(cascades), key=itemgetter(0)):
         start = admitted
@@ -333,7 +320,7 @@ def walk_minutes(cascades):
         if admitted > start or t >= closes:
             pool = candidate_cascades(pool + ordered[start:admitted], t)
             closes = min((c.origin + c.window_end for c in pool), default=math.inf)
-        yield t, [(e, copies[c.cascade_id]) for _, c, _, e in rows], pool
+        yield t, [(e, c) for _, c, _, e in rows], pool
 
 
 @dataclass(eq=False)
@@ -518,29 +505,36 @@ class JumpTable:
         A state holds its cascade's `count_before(t)` comments, decayed over
         relative minutes from x = t - origin (at x = 0 the post has just
         appeared; x < 0 raises).  This is the one scratch evaluation of the
-        feature model's intensity.  The content of every comment in the
-        batch is scored by one `_content_scores` call; each cascade's terms
-        are then summed in order, one `math.exp` each, as an event-by-event
-        loop would.
+        feature model's intensity.
         """
-        xs = [t - c.origin for c in cascades]
-        if xs and min(xs) < 0:
-            raise ValueError(f"state requested at negative time {min(xs)}")
+        return self._states(user, [(c, t - c.origin, c.count_before(t))
+                                   for c in cascades], t)
+
+    def _states(self, user, rows, clock):
+        """The state of `user` per `(cascade, x, k)` row, clocked at `clock`:
+        the post and the first k comments decayed to relative minute x.
+        The content of every comment in the batch is scored by one
+        `_content_scores` call; each cascade's terms are then summed in
+        order, one `math.exp` each, as an event-by-event loop would.
+        """
+        x_min = min((x for _, x, _ in rows), default=0.0)
+        if x_min < 0:
+            raise ValueError(f"state requested at negative time {x_min}")
         p, row = self.params, self._rows[user]
-        prefixes = [c.comments[:c.count_before(t)] for c in cascades]
+        prefixes = [c.comments[:k] for c, _, k in rows]
         scores = iter(_content_scores(list(chain.from_iterable(prefixes)),
                                       p.comment_content_weights))
-        post_scores = _content_scores([c.post for c in cascades],
+        post_scores = _content_scores([c.post for c, _, _ in rows],
                                       p.post_content_weights)
         out = []
-        for c, x, prefix, post_score in zip(cascades, xs, prefixes, post_scores):
+        for (c, x, _), prefix, post_score in zip(rows, prefixes, post_scores):
             b = 0.0
             for e, score in zip(prefix, scores):
                 part = (row.get(e.publisher) or self.pair(user, e.publisher))[1]
                 b += (part + score) * math.exp(-p.comment_decay_rate * (x - e.time))
             a = (self.pair(user, c.post.publisher)[0] + post_score) * math.exp(
                 -p.post_decay_rate * x)
-            out.append(IntensityState(user, c.cascade_id, a, b, t))
+            out.append(IntensityState(user, c.cascade_id, a, b, clock))
         return out
 
     def absorb(self, state, comment, t, score=None):
@@ -559,9 +553,10 @@ class JumpTable:
 
 
 def state_at(user, cascade, t, params, store):
-    """State at relative minute t: `JumpTable.states_at` on a table of its own,
-    the cascade read at origin 0 (where `0.0 + x == x` and `t - 0.0 == t`)."""
-    return JumpTable(params, store).states_at(user, [replace(cascade, origin=0.0)], t)[0]
+    """State at relative minute t, from the comments with `time` below t,
+    clocked at t: `JumpTable.states_at`'s body on a table of its own."""
+    k = bisect.bisect_left(cascade.comments, t, key=_time)
+    return JumpTable(params, store)._states(user, [(cascade, t, k)], t)[0]
 
 
 def intensity(user, cascade, t, params, store):

@@ -3,7 +3,10 @@
 A ranker is anything with two methods:
 
     rank(user, t, candidates) -> the same candidate objects, in serving order
-    absorb(cascade, event, t) -> None   (event already appended to cascade)
+    absorb(cascade, event, t) -> None   (event lands on cascade at t)
+
+Each cascade comes whole, later comments included: a ranker reads what it did
+before t only through `Cascade.count_before(t)` or `Cascade.latest_before(t)`.
 
 Every ranker is written here once: `IntensityRanker` (the feature model,
 HWK-*), `PairwiseRanker` (HWK), `RecencyRanker` (RCHR), `NNRanker` (NN)
@@ -438,16 +441,16 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
     """Replay one group's test comments through a ranker.
 
     Each minute of `walk_minutes` ranks all its comments among the same
-    candidates, the open copies (filtered by `candidate_cascades` unless
+    candidates, the open cascades (filtered by `candidate_cascades` unless
     the policy is "all"), before any is absorbed: an event never sees a
     simultaneous one, which keeps streaming and scratch rankers in exact
-    agreement.
+    agreement.  A cascade id may appear only once.
     """
     trace = []
     for t, batch, pool in walk_minutes(test_cascades):
         candidates = pool if policy == "all" else candidate_cascades(pool, t, policy)
         for e, target in batch:
-            # the served order holds the copies themselves: found by identity
+            # the served order holds the cascades themselves: found by identity
             if target not in candidates:
                 raise ConfigError(
                     f"cascade {target.cascade_id!r} fell out of the candidate set "
@@ -455,7 +458,6 @@ def evaluate_group(ranker, test_cascades, group_id="default", policy="all",
                 )
             trace.append(ranker.rank(e.publisher, t, candidates).index(target))
         for e, target in batch:
-            target.append(e)
             ranker.absorb(target, e, t)
     if not trace:
         raise ConfigError(f"group {group_id!r} has no test comments to rank")

@@ -1,5 +1,9 @@
+import bisect
 import math
 import warnings
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -18,7 +22,10 @@ from hawkesfeed.core import (
     IntensityState,
     JumpTable,
     ModelParams,
+    candidate_cascades,
+    comment_stream,
     event_content,
+    in_play_order,
 )
 from hawkesfeed.errors import ConfigError, EstimationError
 from hawkesfeed.features import DEMO_LEXICON_WORDS, FeatureStore, build_feature_store
@@ -120,6 +127,22 @@ def hwk_intensity(params, user, cascade, local_t):
             break
         lam += params.comment_rates.get((user, e.publisher), 0.0) * np.exp(
             -params.comment_decay_rate * (local_t - e.time)
+        )
+    return float(lam)
+
+
+def hwk_intensity_at_minute(params, user, cascade, t):
+    """`hwk_intensity` at global minute t: the comments whose global minute
+    `origin + time` is strictly below t, decayed from x = t - origin."""
+    x = t - cascade.origin
+    lam = params.post_rates.get((user, cascade.post.publisher), 0.0) * np.exp(
+        -params.post_decay_rate * x
+    )
+    for e in cascade.comments:
+        if cascade.origin + e.time >= t:
+            break
+        lam += params.comment_rates.get((user, e.publisher), 0.0) * np.exp(
+            -params.comment_decay_rate * (x - e.time)
         )
     return float(lam)
 
@@ -377,6 +400,84 @@ def recency_scan(cascade, t):
     when there is none."""
     latest = latest_before_scan(cascade, t)
     return -math.inf if latest is None else cascade.origin + latest.time
+
+
+# The stream walk and the replay loop as they were before the walk handed
+# out the caller's own cascades: a post-only copy of every cascade, grown
+# one comment at a time once its minute had been ranked, so a copy held
+# only what its cascade did before t.  `GrowingCascade` is `Cascade` as it
+# was then, with `append` and the prefix rule over the comments it holds.
+# Kept verbatim, the copy made without `dataclasses.replace`, as the
+# oracle for `evaluate_group`'s traces.
+
+
+@dataclass(eq=False)
+class GrowingCascade:
+    cascade_id: str
+    post: Event
+    comments: tuple
+    window_end: float
+    group_id: str = "default"
+    origin: float = 0.0
+    truncated: bool = False
+
+    def append(self, comment):
+        """Add a comment after the newest one, inside the window."""
+        comments = self.comments
+        prev = comments[-1].time if comments else 0.0
+        if not prev < comment.time < self.window_end:
+            raise ValueError(f"cascade {self.cascade_id}: comment at "
+                             f"{comment.time} refused after {prev}")
+        self.comments = comments + (comment,)
+
+    def count_before(self, t):
+        comments, origin = self.comments, self.origin
+        # a replay only ever asks after the newest comment: skip the bisection
+        if comments and origin + comments[-1].time < t:
+            return len(comments)
+        return bisect.bisect_left(comments, t, key=lambda e: origin + e.time)
+
+    def latest_before(self, t):
+        k = self.count_before(t)
+        if k:
+            return self.comments[k - 1]
+        return self.post if self.origin + self.post.time < t else None
+
+
+def walk_minutes_copies(cascades):
+    """`walk_minutes` on post-only copies: the caller appends each comment
+    to its copy once it has handled the whole minute."""
+    copies = {c.cascade_id: GrowingCascade(c.cascade_id, c.post, (), c.window_end,
+                                           c.group_id, c.origin, c.truncated)
+              for c in cascades}
+    ordered = sorted(copies.values(), key=in_play_order)
+    pool, admitted, closes = [], 0, math.inf
+    for t, rows in groupby(comment_stream(cascades), key=itemgetter(0)):
+        start = admitted
+        while admitted < len(ordered) and ordered[admitted].origin < t:
+            admitted += 1
+        if admitted > start or t >= closes:
+            pool = candidate_cascades(pool + ordered[start:admitted], t)
+            closes = min((c.origin + c.window_end for c in pool), default=math.inf)
+        yield t, [(e, copies[c.cascade_id]) for _, c, _, e in rows], pool
+
+
+def replay_copies(ranker, test_cascades, policy="all"):
+    """`evaluate_group`'s rank trace, replayed on the growing copies."""
+    trace = []
+    for t, batch, pool in walk_minutes_copies(test_cascades):
+        candidates = pool if policy == "all" else candidate_cascades(pool, t, policy)
+        for e, target in batch:
+            if target not in candidates:
+                raise ConfigError(
+                    f"cascade {target.cascade_id!r} fell out of the candidate set "
+                    f"at t={t}; the {policy!r} policy cannot score this corpus"
+                )
+            trace.append(ranker.rank(e.publisher, t, candidates).index(target))
+        for e, target in batch:
+            target.append(e)
+            ranker.absorb(target, e, t)
+    return trace
 
 
 # The proportional-rates baseline as it was before its risk sets were

@@ -111,11 +111,9 @@ def test_update_profile_moving_average_hand_values():
     ranker = NNRanker(content_store(2))
     c = make_cascade([(1.0, "bo", [1.0, 0.0]), (2.0, "bo", [0.0, 1.0]),
                       (3.0, "bo", [1.0, 1.0])], cascade_id="A", content_dim=2)
-    shadow = make_cascade([], cascade_id="A", content_dim=2)
     profiles = []
     for e in c.comments:
-        shadow.append(e)
-        ranker.absorb(shadow, e, e.time)
+        ranker.absorb(c, e, e.time)
         profiles.append(ranker.profiles["bo"])
     assert profiles[0].tolist() == [1.0, 0.0]
     assert profiles[1] == pytest.approx([0.7, 0.3])

@@ -234,7 +234,6 @@ def test_replay_dense_sized_corpora_serve_the_exact_order(seed):
 
 def assert_columns_match(cascade):
     cols = cascade.columns
-    assert cols.comments is cascade.comments
     assert cols.times.tolist() == [e.time for e in cascade.comments]
     assert [cols.publishers[k] for k in cols.codes] == [e.publisher for e in cascade.comments]
     assert len(set(cols.publishers)) == len(cols.publishers)
@@ -245,25 +244,12 @@ def assert_columns_match(cascade):
         assert row.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
-def test_append_keeps_the_columns_equal_to_the_events():
+def test_columns_equal_the_events_of_every_prefix():
     source = strip_some_content(random_corpus(n_cascades=4, seed=9, content_dim=3,
                                               mean_comments=10), 9)
     for c in source:
-        shadow = make_cascade([], cascade_id=c.cascade_id, window_end=c.window_end,
-                              content_dim=3)
-        assert_columns_match(shadow)
-        for e in c.comments:
-            shadow.append(e)
-            assert_columns_match(shadow)
-        assert shadow.comments == c.comments
-
-
-def test_append_refuses_what_the_constructor_refuses():
-    c = make_cascade([(2.0, "bo")], window_end=10.0)
-    for t in (2.0, 1.0, 10.0, 11.0):
-        with pytest.raises(ValueError):
-            c.append(Event(t, "cy"))
-    assert len(c.comments) == 1
+        for k in range(len(c.comments) + 1):
+            assert_columns_match(dataclasses.replace(c, comments=c.comments[:k]))
 
 
 def test_the_comments_cannot_change_behind_the_columns():
@@ -277,15 +263,20 @@ def test_the_comments_cannot_change_behind_the_columns():
     for array in (cols.times, cols.codes, cols.content):
         with pytest.raises(ValueError):
             array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.comments = (c.comments[0],)
     assert c.columns is cols  # nothing changed, nothing rebuilt
-    # a new sequence in place of the tuple is a new object: rebuilt on read
-    c.comments = (c.comments[0],)
-    assert c.columns.times.tolist() == [1.0]
-    listed = [Event(1.0, "bo")]
-    c.comments = listed
-    assert c.columns.times.tolist() == [1.0]
-    listed.append(Event(4.0, "di"))
-    assert c.columns.times.tolist() == [1.0, 4.0]
+    assert cols.times.tolist() == [1.0, 2.0]
+
+
+def test_no_cascade_field_can_be_assigned():
+    c = make_cascade([(1.0, "bo"), (2.0, "cy")], origin=3.0)
+    before = {f.name: getattr(c, f.name) for f in dataclasses.fields(Cascade)}
+    for name in before:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, before["comments"][:1] if name == "comments" else 7.0)
+    assert {name: getattr(c, name) for name in before} == before
+    assert c.count_before(math.inf) == 2
 
 
 def test_constructed_comments_are_a_tuple():

@@ -29,6 +29,7 @@ from conftest import (
     make_cascade,
     make_params,
     post_influence,
+    scratch_state_at,
 )
 
 
@@ -56,9 +57,10 @@ def test_cascade_rejects_post_off_origin():
 
 
 def test_cascade_rejects_unordered_comments():
-    with pytest.raises(ValueError):
-        Cascade("c", Event(0.0, "ana"),
-                [Event(5.0, "bo"), Event(3.0, "cy")], window_end=10.0)
+    for t in (3.0, 5.0):  # earlier, or tied
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Cascade("c", Event(0.0, "ana"),
+                    [Event(5.0, "bo"), Event(t, "cy")], window_end=10.0)
 
 
 def test_cascade_rejects_comment_at_post_time():
@@ -67,8 +69,9 @@ def test_cascade_rejects_comment_at_post_time():
 
 
 def test_cascade_rejects_comment_outside_window():
-    with pytest.raises(ValueError):
-        Cascade("c", Event(0.0, "ana"), [Event(12.0, "bo")], window_end=10.0)
+    for t in (10.0, 12.0):  # at the window's end, or past it
+        with pytest.raises(ValueError, match="outside the window"):
+            Cascade("c", Event(0.0, "ana"), [Event(t, "bo")], window_end=10.0)
 
 
 def test_participants_and_corpus_participants():
@@ -261,6 +264,22 @@ def test_state_at_matches_intensity():
         assert s.intensity == pytest.approx(
             intensity("ana", c, t, params, store), rel=1e-12
         )
+
+
+def test_intensity_builds_no_cascade(monkeypatch):
+    # the relative minute is read off the cascade as it is, not off a copy
+    store = direct_store(seed=31)
+    params = make_params(seed=32)
+    c = make_cascade([(1.0, "bo"), (3.0, "cy"), (8.0, "di")], origin=2.9, seed=33)
+    built = []
+    real = Cascade.__post_init__
+    monkeypatch.setattr(Cascade, "__post_init__", lambda c: built.append(c) or real(c))
+    for t in [0.0, 0.5, 3.0, 5.5, 20.0]:
+        assert state_at("ana", c, t, params, store) == \
+            scratch_state_at("ana", c, t, params, store)
+        assert intensity("ana", c, t, params, store) == \
+            scratch_state_at("ana", c, t, params, store).intensity
+    assert built == []
 
 
 def test_streaming_chain_matches_scratch():

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,10 +193,13 @@ def test_em_stops_where_the_pair_loop_stops(name):
 
 def test_stop_reason():
     corpus, pd, cd = CORPORA["single comments"]
-    em = fit_hwk_em(corpus, pd, cd, max_iterations=5000, tolerance=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        em = fit_hwk_em(corpus, pd, cd, max_iterations=5000, tolerance=1e-12)
     assert (em.stop_reason, em.converged) == ("tolerance", True)
     assert em.iterations < 5000
-    em = fit_hwk_em(random_corpus(n_cascades=6, seed=3), pd, cd, max_iterations=3)
+    with pytest.warns(UserWarning, match="max_iterations=3,"):
+        em = fit_hwk_em(random_corpus(n_cascades=6, seed=3), pd, cd, max_iterations=3)
     assert (em.stop_reason, em.converged, em.iterations) == ("iteration cap", False, 3)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,9 +150,7 @@ def test_mask_shape_mismatch_is_an_error():
 
 def test_fit_requires_comments():
     store = direct_store()
-    corpus = random_corpus(n_cascades=3, seed=1)
-    for c in corpus:
-        c.comments = []
+    corpus = [replace(c, comments=[]) for c in random_corpus(n_cascades=3, seed=1)]
     with pytest.raises(EstimationError):
         fit(corpus, store, USERS, fit_config())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -29,7 +30,7 @@ def write_lines(path, records):
 
 def test_corpus_round_trip_is_lossless(tmp_path):
     corpus = random_corpus(n_cascades=5, origin_spacing=7.5)
-    corpus[2].truncated = True
+    corpus[2] = dataclasses.replace(corpus[2], truncated=True)
     corpus[3].comments[0].text = "nice one"
     path = tmp_path / "corpus.jsonl"
     io.write_corpus(path, corpus)
@@ -395,7 +396,7 @@ def cli_corpus(path, n, seed, id_prefix):
     corpus = random_corpus(n_cascades=n, seed=seed, origin_spacing=5.0,
                            content_dim=0)
     for i, c in enumerate(corpus):
-        c.cascade_id = f"{id_prefix}{i:02d}"
+        c = corpus[i] = dataclasses.replace(c, cascade_id=f"{id_prefix}{i:02d}")
         for j, e in enumerate(c.events):
             e.text = TEXTS[(i + j) % len(TEXTS)]
             e.content_features = np.zeros(0)

@@ -35,6 +35,7 @@ from conftest import (
     query_times,
     random_corpus,
     scratch_state_at,
+    scratch_state_at_minute,
     strip_some_content,
 )
 
@@ -58,8 +59,7 @@ class OracleRanker:
             users = self.states[c.cascade_id]
             s = users.get(user)
             if s is None:
-                s = scratch_state_at(user, c, t - c.origin, self.params, self.store)
-                s.last_update_time = t
+                s = scratch_state_at_minute(user, c, t, self.params, self.store)
             else:
                 s = decayed_copy(s, t, self.params)
             users[user] = s

@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,10 +32,12 @@ from hawkesfeed.simulate import random_sim_config, simulate_corpus
 from conftest import (
     USERS,
     direct_store,
-    hwk_intensity,
+    hwk_intensity_at_minute,
     make_cascade,
     make_params,
+    scratch_state_at_minute,
     stretched,
+    text_corpus,
 )
 
 
@@ -58,7 +64,7 @@ class RecordingRanker(IdentityRanker):
         self.seen = []
 
     def rank(self, user, t, candidates):
-        self.seen.append((t, {c.cascade_id: len(c.comments) for c in candidates}))
+        self.seen.append((t, {c.cascade_id: c.count_before(t) for c in candidates}))
         return list(candidates)
 
 
@@ -170,17 +176,21 @@ def test_mean_activity_matches_discretization(sim_setup):
     # [DERIVED] midpoint Riemann sum over a fine grid of the "active"
     # candidate count
     # stretched by 120, the 720-minute horizon spans 6 drawn minutes, and
-    # the grid is stretched with it
+    # by 720 one, shorter than some gaps between comments; the grid is
+    # stretched with it
     _, corpus = sim_setup
-    k = 120.0
-    cascades = stretched(corpus[:12], k)
-    window = (0.0, 40.0 * k)
-    exact = mean_activity(cascades, window)
-    grid = np.arange(window[0] + 0.005 * k, window[1], 0.01 * k)
-    count = [len(candidate_cascades(cascades, s, "active")) for s in grid]
-    # some windows close inside the evaluation window
-    assert any(c.origin + c.window_end < window[1] for c in cascades)
-    assert abs(float(np.mean(count)) - exact) < 0.01
+    for k in (120.0, 720.0):
+        cascades = stretched(corpus[:12], k)
+        window = (0.0, 40.0 * k)
+        exact = mean_activity(cascades, window)
+        grid = np.arange(window[0] + 0.005 * k, window[1], 0.01 * k)
+        count = [len(candidate_cascades(cascades, s, "active")) for s in grid]
+        # some windows close inside the evaluation window
+        assert any(c.origin + c.window_end < window[1] for c in cascades)
+        assert abs(float(np.mean(count)) - exact) < 0.01
+        if k == 720.0:  # the horizon, not only the window, ends some activity
+            open_count = [len(candidate_cascades(cascades, s)) for s in grid]
+            assert exact < float(np.mean(open_count)) - 0.01
 
 
 def test_mean_activity_rejects_empty_window():
@@ -282,7 +292,7 @@ class CountedRanker:
         self.peak_candidates = 0
 
     def rank(self, user, t, candidates):
-        # the harness hands out the cascades it appends comments to
+        # the harness hands out the cascades themselves
         self.cascades.update((c.cascade_id, c) for c in candidates)
         self.ranked.update((user, c.cascade_id) for c in candidates)
         self.peak_candidates = max(self.peak_candidates, len(candidates))
@@ -301,7 +311,7 @@ class CountedRanker:
 
 class ProbedRanker(CountedRanker):
     """After every absorb, checks each live state against a scratch
-    intensity on the replay's own cascade copies."""
+    intensity on what its cascade did up to the state's last touch."""
 
     def __init__(self, ranker):
         super().__init__(ranker)
@@ -317,9 +327,12 @@ class ProbedRanker(CountedRanker):
                 # probe strictly after the last touch so the state's jump at
                 # its own timestamp and the strict-left intensity see the
                 # same event set
-                probed = decay_state(state, state.last_update_time + 0.25, params)
-                local_t = probed.last_update_time - c.origin
-                expected = intensity(user, c, local_t, params, store)
+                touch = state.last_update_time
+                probed = decay_state(state, touch + 0.25, params)
+                seen = replace(c, comments=c.comments[
+                    :c.count_before(math.nextafter(touch, math.inf))])
+                expected = scratch_state_at_minute(user, seen, touch + 0.25,
+                                                   params, store).intensity
                 assert probed.intensity == pytest.approx(expected, rel=1e-9, abs=1e-12)
                 self.probed.add((user, cid))
 
@@ -357,13 +370,13 @@ def test_ranker_states_stay_bounded_on_a_long_stream():
 
 class ScratchPairwiseRanker:
     """The HWK baseline's former scratch ranker: `hwk_intensity` for every
-    candidate at every query; holds no state."""
+    candidate at every query, on the global minute; holds no state."""
 
     def __init__(self, params):
         self.params = params
 
     def rank(self, user, t, candidates):
-        scores = [hwk_intensity(self.params, user, c, t - c.origin) for c in candidates]
+        scores = [hwk_intensity_at_minute(self.params, user, c, t) for c in candidates]
         return order_candidates(candidates, scores, t)
 
     def absorb(self, cascade, event, t):
@@ -447,6 +460,17 @@ def test_evaluate_errors_when_nothing_is_scorable():
     with pytest.warns(UserWarning):
         with pytest.raises(ConfigError):
             evaluate("RCHR", train, test)
+
+
+def test_evaluate_hwk_warns_when_the_em_stops_at_its_cap():
+    train, test = text_corpus(1)
+    with pytest.warns(UserWarning, match="pairwise EM stopped on its iteration cap"):
+        capped = evaluate("HWK", train, test)
+    assert capped.groups[0].n_comments > 0
+    train, test = two_group_corpus()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an EM that meets its tolerance is silent
+        evaluate("HWK", train, test)
 
 
 def test_make_ranker_types_and_requirements():
