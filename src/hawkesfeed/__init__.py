@@ -7,13 +7,10 @@ from .core import (
     IntensityState,
     JumpTable,
     ModelParams,
-    absorb_event,
     candidate_cascades,
     corpus_participants,
-    decay_state,
     intensity,
     separate_ties,
-    state_at,
 )
 from .errors import ConfigError, DataFormatError, EstimationError, HawkesFeedError
 from .features import (
@@ -73,7 +70,6 @@ __all__ = [
     "RankReport",
     "RANKER_NAMES",
     "SimConfig",
-    "absorb_event",
     "annotate_corpus",
     "branching_ratio",
     "build_feature_store",
@@ -81,7 +77,6 @@ __all__ = [
     "corpus_log_likelihood",
     "corpus_participants",
     "cross_validate",
-    "decay_state",
     "demo_lexicon",
     "evaluate",
     "evaluate_group",
@@ -99,5 +94,4 @@ __all__ = [
     "separate_ties",
     "simulate_cascade",
     "simulate_corpus",
-    "state_at",
 ]

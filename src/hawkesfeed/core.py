@@ -18,14 +18,13 @@ and move a jump by an ulp.  Feature vectors are stored contiguous, since
 a dot product over a strided vector may round differently too.
 
 One streaming path carries the intensity: an `IntensityState` holds the
-two terms, `JumpTable.states_at` builds it from scratch at a global minute
-for a batch of cascades (the reference; `state_at` and `intensity` evaluate
-one at a relative minute), `IntensityState.advance` decays it forward in
-place and `JumpTable.absorb` advances it to a comment's arrival and adds that
-comment's jump in place.  The decay and the jump are written there and
-nowhere else; `decay_state` and `absorb_event` apply them to a copy and
-leave their input as it was.  The streaming and scratch routes agree to
-floating-point accuracy.
+two terms, and only `JumpTable.states_at` builds one, from scratch at a
+global minute for a batch of cascades (the reference).  Only
+`IntensityState.advance`, which decays it forward, and `JumpTable.absorb`,
+which advances it to a comment's arrival and adds that comment's jump, move
+it, in place; the decay and the jump are written there and nowhere else.
+`intensity` reads the same sum at one cascade's relative minute.  The
+streaming and scratch routes agree to floating-point accuracy.
 
 A `Cascade` never changes once built: its comments are a tuple, and
 `Cascade.columns` gives them as `CascadeColumns` (times, publisher codes
@@ -53,7 +52,6 @@ import bisect
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 
@@ -130,7 +128,9 @@ class Cascade:
 
     A cascade never changes: its fields cannot be assigned, and `comments`
     is stored as a tuple.  So `columns` and the comments' global minutes
-    are each built once, on first read.
+    are each built once, on first read, and kept in a plain attribute: a
+    filled `functools.cached_property` would turn the instance's attributes
+    into a real dict and slow every later attribute read of the cascade.
     """
 
     cascade_id: str
@@ -163,17 +163,21 @@ class Cascade:
                 f"window [0, {self.window_end})"
             )
         object.__setattr__(self, "_minutes", None)  # built by `_global_minutes`
+        object.__setattr__(self, "_columns", None)  # built by `columns`
 
-    @cached_property
+    @property
     def columns(self):
         """The comments as `CascadeColumns`."""
-        return CascadeColumns.of(self.comments)
+        columns = self._columns
+        if columns is None:
+            columns = CascadeColumns.of(self.comments)
+            object.__setattr__(self, "_columns", columns)
+        return columns
 
     def _global_minutes(self):
         # each comment's global minute (the float `comment_stream` forms) as
         # packed doubles, a quarter of a float list's memory, which `bisect`
-        # reads through a memoryview; kept in a plain attribute, because a
-        # filled cached_property slows every attribute read of the cascade
+        # reads through a memoryview
         minutes = np.array([self.origin + e.time for e in self.comments], dtype=float).data
         object.__setattr__(self, "_minutes", minutes)
         return minutes
@@ -426,10 +430,8 @@ class IntensityState:
     events; their sum is the intensity at `last_update_time`.  Single
     writer per pair: `advance` and `JumpTable.absorb` update the state in
     place, in O(1), and never rewind; a reader that must not disturb a
-    writer's state uses `decay_state`, which works on a copy.  A state
-    keeps the clock it was built on: `JumpTable.states_at` clocks it on
-    the global minute it was asked for, the module's `state_at` on the
-    cascade's relative minute.
+    writer's state moves a `dataclasses.replace` copy.  A state is clocked
+    on the global minute `JumpTable.states_at` built it at.
     """
 
     user: str
@@ -552,29 +554,12 @@ class JumpTable:
         return state
 
 
-def state_at(user, cascade, t, params, store):
-    """State at relative minute t, from the comments with `time` below t,
-    clocked at t: `JumpTable.states_at`'s body on a table of its own."""
-    k = bisect.bisect_left(cascade.comments, t, key=_time)
-    return JumpTable(params, store)._states(user, [(cascade, t, k)], t)[0]
-
-
 def intensity(user, cascade, t, params, store):
     """Rate of `user` commenting on `cascade` at relative minute t.
 
     Only events strictly before t contribute, so the value at an event's
-    own timestamp excludes that event's jump.
+    own timestamp excludes that event's jump.  `JumpTable.states_at`'s body,
+    on a table of its own, with the prefix cut on the relative minute.
     """
-    return state_at(user, cascade, t, params, store).intensity
-
-
-def decay_state(state, t2, params):
-    """A copy of `state` advanced to t2 >= last_update_time; `state` is untouched."""
-    state = replace(state)
-    state.advance(t2, params)
-    return state
-
-
-def absorb_event(state, comment, t, params, store):
-    """`JumpTable.absorb` on a copy of `state` and a table of its own."""
-    return JumpTable(params, store).absorb(replace(state), comment, t)
+    k = bisect.bisect_left(cascade.comments, t, key=_time)
+    return JumpTable(params, store)._states(user, [(cascade, t, k)], t)[0].intensity

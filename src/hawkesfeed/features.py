@@ -228,17 +228,17 @@ def _apply_bounds(values, bounds, clamp=False):
     return out
 
 
-def extract_features(cascades, lexicon=None, users=None):
+def extract_features(cascades, lexicon=None):
     """Raw (unnormalized) feature store for a corpus.
 
     One pass accumulates every character and relationship count; content
     counts come from event text where present.  Events that already carry
-    content vectors keep them and stay out of the raw content map.
+    content vectors keep them and stay out of the raw content map.  The
+    users are the corpus participants, so every poster and commenter has a
+    character row.
     """
-    if users is None:
-        users = corpus_participants(cascades)
     k = len(CHARACTER_FEATURES)
-    char = {u: np.zeros(k) for u in users}
+    char = {u: np.zeros(k) for u in corpus_participants(cascades)}
     rel = {}
 
     def rel_row(a, b):
@@ -254,17 +254,15 @@ def extract_features(cascades, lexicon=None, users=None):
 
     for cascade in cascades:
         poster = cascade.post.publisher
-        if poster in char:
-            char[poster][0] += 1
-            char[poster][1] += len(cascade.comments)
+        char[poster][0] += 1
+        char[poster][1] += len(cascade.comments)
         first_commenter_seen = False
         commented_before = set()
         credited_co = set()
         prev_publisher = None
         for e in cascade.comments:
             a = e.publisher
-            if a in char:
-                char[a][2] += 1
+            char[a][2] += 1
             if not first_commenter_seen:
                 rel_row(a, poster)[2] += 1
                 first_commenter_seen = True
@@ -299,9 +297,9 @@ def extract_features(cascades, lexicon=None, users=None):
         for e in cascade.comments:
             posts_by.setdefault(e.publisher, set()).add(cascade.cascade_id)
             authors_by.setdefault(e.publisher, set()).add(cascade.post.publisher)
-    for u in users:
-        char[u][3] = len(posts_by.get(u, ()))
-        char[u][4] = len(authors_by.get(u, ()))
+    for u, row in char.items():
+        row[3] = len(posts_by.get(u, ()))
+        row[4] = len(authors_by.get(u, ()))
 
     names = (
         content_manifest(lexicon)
@@ -356,9 +354,9 @@ def normalize_store(store):
     )
 
 
-def build_feature_store(cascades, lexicon=None, users=None):
+def build_feature_store(cascades, lexicon=None):
     """Extract on the given (training) corpus and normalize."""
-    return normalize_store(extract_features(cascades, lexicon, users))
+    return normalize_store(extract_features(cascades, lexicon))
 
 
 def annotate_corpus(cascades, store):

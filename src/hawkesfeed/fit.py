@@ -174,9 +174,10 @@ def fit(cascades, store, users, config=None, on_iterate=None):
     """Estimate the four weight vectors on a training corpus.
 
     `users` is the population whose combined non-response the compensator
-    charges; it must cover every commenter in `cascades`.  The corpus is
-    annotated from `store` first (`annotate_corpus`, the one content rule;
-    serving reads the events as they are, so a served corpus needs it too).
+    charges; it must cover every commenter in `cascades`, or
+    `build_corpus_terms` raises EstimationError.  The corpus is annotated
+    from `store` first (`annotate_corpus`, the one content rule; serving
+    reads the events as they are, so a served corpus needs it too).
     Returns a FitResult whose trace is monotone non-increasing.
     """
     config = config or FitConfig()

@@ -27,6 +27,7 @@ publishers, so nothing is stored per (comment, earlier comment) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -82,6 +83,13 @@ def _decayed_prefix_sums(times, rate, values):
     return out
 
 
+def _content_rows(events, dim):
+    """Each event's `event_content` at width `dim`, stacked as (n, dim) rows."""
+    if not dim:  # every row is empty, whatever the events carry
+        return np.zeros((len(events), 0))
+    return np.array([event_content(e, dim) for e in events]).reshape(len(events), dim)
+
+
 @dataclass(eq=False)
 class CommentLinks:
     """Every observed comment of a corpus, linked to the earlier publishers
@@ -91,24 +99,23 @@ class CommentLinks:
     comment to one distinct publisher of earlier comments in its cascade
     and carries the decayed count, the sum over that publisher's earlier
     comments j of exp(-w (t_i - t_j)).  Exposures are the closed-form
-    kernel integrals over the window: (1 - exp(-w (T - s))) / w.
+    kernel integrals over the window: (1 - exp(-w (T - s))) / w.  The
+    content rows have the width asked of `comment_links`, 0 for the EM.
     """
 
     names: list                   # publisher index -> name
     poster: np.ndarray            # per cascade: publisher index of the post
     post_exposure: np.ndarray     # per cascade
+    post_content: np.ndarray      # per cascade: the post's content
     cascade: np.ndarray           # per comment: index of its cascade
     commenter: np.ndarray         # per comment: publisher index
     post_decay: np.ndarray        # per comment: exp(-post_decay_rate t)
     comment_exposure: np.ndarray  # per comment
+    comment_content: np.ndarray   # per comment: its own content
+    content_sums: np.ndarray      # per comment: the decayed sum of earlier contents
     link_row: np.ndarray          # per link: the comment
     link_publisher: np.ndarray    # per link: the earlier publisher
     link_count: np.ndarray        # per link: the decayed count
-    # with a feature store only: the post's content per cascade, and per
-    # comment its own content and the decayed sum of earlier contents
-    post_content: np.ndarray | None = None
-    comment_content: np.ndarray | None = None
-    content_sums: np.ndarray | None = None
 
     @property
     def n_events(self):
@@ -130,12 +137,12 @@ class CommentLinks:
         )
 
 
-def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
+def comment_links(cascades, post_decay_rate, comment_decay_rate, content_dim=0):
     """One forward pass of the exponential-kernel recursion per cascade.
 
-    With a feature `store`, each event's own content vector (zeros where
-    it has none) and their decayed sums ride along the counts.  Like
-    serving, it reads the events as they are; its callers annotate them
+    Each event's own content vector, `content_dim` wide (zeros where it has
+    none), and their decayed sums ride along the counts.  Like serving, it
+    reads the events as they are; its callers annotate them
     (`annotate_corpus`, the one content rule).  Every (comment, distinct
     earlier publisher) link is kept, even when its count underflows to 0.
     """
@@ -144,9 +151,12 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
     def index(name):
         return ids.setdefault(name, len(ids))
 
-    poster, post_exposure, post_content = [], [], []
+    post_content = _content_rows([c.post for c in cascades], content_dim)
+    comment_content = _content_rows(
+        list(chain.from_iterable(c.comments for c in cascades)), content_dim)
+    content_sums = np.empty_like(comment_content)
+    poster, post_exposure = [], []
     cascade_of, commenter, post_decay, comment_exposure = [], [], [], []
-    comment_content, content_sums = [], []
     link_row, link_publisher, link_count = [], [], []
     n_events = 0
 
@@ -154,11 +164,6 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
         poster.append(index(cascade.post.publisher))
         big_t = cascade.window_end
         post_exposure.append((1.0 - np.exp(-post_decay_rate * big_t)) / post_decay_rate)
-        if store is not None:
-            events = np.array([
-                event_content(e, store.content_dim) for e in cascade.events
-            ]).reshape(len(cascade.events), store.content_dim)
-            post_content.append(events[0])
         n = len(cascade.comments)
         if not n:
             continue
@@ -173,13 +178,13 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
 
         publishers, first, local = np.unique(who, return_index=True, return_inverse=True)
         m = publishers.size
-        values = np.eye(m)[local]
-        if store is not None:
-            values = np.hstack([values, events[1:]])
-            comment_content.append(events[1:])
+        own, order = slice(n_events, n_events + n), np.arange(n)
+        values = np.zeros((n, m + content_dim))  # one-hot publisher, then content
+        values[order, local] = 1.0
+        values[:, m:] = comment_content[own]
         sums = _decayed_prefix_sums(times, comment_decay_rate, values)
-        content_sums.append(sums[:, m:])
-        rows, cols = np.nonzero(first < np.arange(n)[:, None])
+        content_sums[own] = sums[:, m:]
+        rows, cols = np.nonzero(first < order[:, None])
         link_row.append(rows + n_events)
         link_publisher.append(publishers[cols])
         link_count.append(sums[rows, cols])
@@ -188,34 +193,37 @@ def comment_links(cascades, post_decay_rate, comment_decay_rate, store=None):
     def cat(parts, dtype=float):
         return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
-    def stack(parts, width):
-        return np.vstack(parts) if parts else np.zeros((0, width))
-
-    links = CommentLinks(
+    return CommentLinks(
         names=list(ids),
         poster=np.array(poster, dtype=np.int64),
         post_exposure=np.array(post_exposure, dtype=float),
+        post_content=post_content,
         cascade=cat(cascade_of, np.int64),
         commenter=cat(commenter, np.int64),
         post_decay=cat(post_decay),
         comment_exposure=cat(comment_exposure),
+        comment_content=comment_content,
+        content_sums=content_sums,
         link_row=cat(link_row, np.int64),
         link_publisher=cat(link_publisher, np.int64),
         link_count=cat(link_count),
     )
-    if store is not None:
-        kd = store.content_dim
-        links.post_content = stack(post_content, kd)
-        links.comment_content = stack(comment_content, kd)
-        links.content_sums = stack(content_sums, kd)
-    return links
 
 
 def build_corpus_terms(cascades, store, users, post_decay_rate, comment_decay_rate):
-    """The design and compensator of the corpus, annotated from `store`."""
+    """The design and compensator of the corpus, annotated from `store`.
+
+    `users` is the population whose non-response the compensator charges;
+    it must hold every commenter, or EstimationError names one it misses.
+    """
+    population = set(users)
+    for c in cascades:
+        for e in c.comments:
+            if e.publisher not in population:
+                raise EstimationError(f"commenter {e.publisher!r} is not in the population")
     kp = store.pair_dim
     links = comment_links(annotate_corpus(cascades, store), post_decay_rate,
-                          comment_decay_rate, store)
+                          comment_decay_rate, store.content_dim)
     n_events = links.n_events
     names = links.names
     n_ids = len(names)

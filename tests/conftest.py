@@ -323,8 +323,8 @@ def comment_influence(user, comment, params, store):
 
 
 def decayed_copy(state, t2, params):
-    """`decay_state` as it was before the decay moved into
-    `IntensityState.advance`: a new state, both terms decayed to t2."""
+    """A new state, both terms decayed to t2, written without
+    `IntensityState.advance`: the oracle for the in-place decay."""
     dt = t2 - state.last_update_time
     if dt < 0:
         raise ValueError(

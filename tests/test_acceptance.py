@@ -12,7 +12,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import integrate, stats
 
 from hawkesfeed.baselines import (
@@ -20,13 +19,7 @@ from hawkesfeed.baselines import (
     cox_partial_log_likelihood,
     fit_hwk_em,
 )
-from hawkesfeed.core import (
-    ModelParams,
-    absorb_event,
-    decay_state,
-    intensity,
-    state_at,
-)
+from hawkesfeed.core import JumpTable, ModelParams, intensity
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.fit import FitConfig, fit
 from hawkesfeed.likelihood import (
@@ -132,32 +125,31 @@ def test_03_streaming_states_match_scratch_recomputation():
                                n_cascades=80, horizon=12.0, origin_spacing=3.0)
     corpus = simulate_corpus(config)
     params, store = config.params, config.store
+    jumps = JumpTable(params, store)
     ops = 0
     worst = 0.0
 
     def compare(state, cascade, t):
+        # the state runs on the global minute, the scratch intensity on the
+        # cascade's relative one
         nonlocal ops, worst
-        scratch = state_at(state.user, cascade, t, params, store)
-        rel = abs(state.intensity - scratch.intensity) / max(
-            scratch.intensity, 1e-12
-        )
+        state.advance(cascade.origin + t, params)
+        scratch = intensity(state.user, cascade, t, params, store)
+        rel = abs(state.intensity - scratch) / max(scratch, 1e-12)
         worst = max(worst, rel)
         ops += 1
 
     for cascade in corpus:
         for user in config.users:
-            state = state_at(user, cascade, 0.0, params, store)
+            state = jumps.states_at(user, [cascade], cascade.origin)[0]
             prev = 0.0
             for comment in cascade.comments:
                 mid = 0.5 * (prev + comment.time)
                 if mid > prev:
-                    state = decay_state(state, mid, params)
                     compare(state, cascade, mid)
-                state = decay_state(state, comment.time, params)
                 compare(state, cascade, comment.time)
-                state = absorb_event(state, comment, comment.time, params, store)
+                jumps.absorb(state, comment, cascade.origin + comment.time)
                 prev = comment.time
-            state = decay_state(state, cascade.window_end, params)
             compare(state, cascade, cascade.window_end)
     check("criterion 3 (streaming vs scratch states)",
           ops >= 10_000 and worst <= 1e-9,

@@ -11,19 +11,17 @@ from hawkesfeed.core import (
     Event,
     JumpTable,
     ModelParams,
-    absorb_event,
     corpus_participants,
-    decay_state,
     event_content,
     intensity,
     separate_ties,
-    state_at,
 )
 from hawkesfeed.errors import ConfigError
 
 from conftest import (
     USERS,
     comment_influence,
+    decayed_copy,
     direct_store,
     latest_before_scan,
     make_cascade,
@@ -255,12 +253,14 @@ def test_scaled_rejects_negative_factor():
 # ------------------------------------------------------------ states (O(1))
 
 
-def test_state_at_matches_intensity():
+def test_states_at_matches_intensity():
+    # at origin 0 the global minute is the relative one
     store = direct_store(seed=31)
     params = make_params(seed=32)
     c = make_cascade([(1.0, "bo"), (3.0, "cy"), (8.0, "di")], seed=33)
+    jumps = JumpTable(params, store)
     for t in [0.0, 0.5, 3.0, 5.5, 20.0]:
-        s = state_at("ana", c, t, params, store)
+        s = jumps.states_at("ana", [c], t)[0]
         assert s.intensity == pytest.approx(
             intensity("ana", c, t, params, store), rel=1e-12
         )
@@ -275,8 +275,6 @@ def test_intensity_builds_no_cascade(monkeypatch):
     real = Cascade.__post_init__
     monkeypatch.setattr(Cascade, "__post_init__", lambda c: built.append(c) or real(c))
     for t in [0.0, 0.5, 3.0, 5.5, 20.0]:
-        assert state_at("ana", c, t, params, store) == \
-            scratch_state_at("ana", c, t, params, store)
         assert intensity("ana", c, t, params, store) == \
             scratch_state_at("ana", c, t, params, store).intensity
     assert built == []
@@ -286,35 +284,36 @@ def test_streaming_chain_matches_scratch():
     store = direct_store(seed=41)
     params = make_params(seed=42)
     c = make_cascade([(1.0, "bo"), (2.0, "cy"), (6.5, "bo")], seed=43)
-    s = state_at("ana", c, 0.0, params, store)
+    jumps = JumpTable(params, store)
+    s = jumps.states_at("ana", [c], 0.0)[0]
     for e in c.comments:
-        scratch = state_at("ana", c, e.time, params, store)
-        assert decay_state(s, e.time, params).intensity == pytest.approx(
+        scratch = jumps.states_at("ana", [c], e.time)[0]
+        assert decayed_copy(s, e.time, params).intensity == pytest.approx(
             scratch.intensity, rel=1e-12
         )
-        # absorb_event decays the state to the comment time itself
-        s = absorb_event(s, e, e.time, params, store)
-    s = decay_state(s, 12.0, params)
-    assert s.intensity == pytest.approx(
+        # absorb decays the state to the comment time itself
+        jumps.absorb(s, e, e.time)
+    assert s.advance(12.0, params) == pytest.approx(
         intensity("ana", c, 12.0, params, store), rel=1e-12
     )
 
 
-def test_decay_state_refuses_rewind():
+def test_advance_refuses_rewind():
     store = direct_store()
     params = make_params()
-    s = state_at("ana", make_cascade([]), 5.0, params, store)
+    s = JumpTable(params, store).states_at("ana", [make_cascade([])], 5.0)[0]
     with pytest.raises(ValueError):
-        decay_state(s, 4.0, params)
+        s.advance(4.0, params)
 
 
-def test_absorb_event_refuses_rewind():
+def test_absorb_refuses_rewind():
     store = direct_store()
     params = make_params()
     c = make_cascade([(2.0, "bo", (0.3, 0.3))])
-    s = state_at("ana", c, 3.0, params, store)
+    jumps = JumpTable(params, store)
+    s = jumps.states_at("ana", [c], 3.0)[0]
     with pytest.raises(ValueError):
-        absorb_event(s, c.comments[0], c.comments[0].time, params, store)
+        jumps.absorb(s, c.comments[0], c.comments[0].time)
 
 
 # ------------------------------------------------------------------ properties
@@ -333,7 +332,7 @@ def test_intensity_nonnegative_and_jumps(times, t, seed):
     c = make_cascade(rows, seed=seed)
     lam = intensity("ana", c, t, params, store)
     assert lam >= 0.0
-    s = state_at("ana", c, t, params, store)
+    s = JumpTable(params, store).states_at("ana", [c], t)[0]  # origin 0
     assert np.isclose(s.intensity, lam, rtol=1e-9, atol=1e-15)
 
 

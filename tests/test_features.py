@@ -10,8 +10,6 @@ from hawkesfeed.baselines import fit_cox
 from hawkesfeed.core import Cascade, Event
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.features import (
-    CHARACTER_FEATURES,
-    RELATIONSHIP_FEATURES,
     FeatureStore,
     Lexicon,
     annotate_corpus,
@@ -29,7 +27,6 @@ from hawkesfeed.likelihood import corpus_log_likelihood, flat_weights
 from hawkesfeed.rank_eval import NNRanker
 
 from conftest import (
-    USERS,
     character_features,
     make_cascade,
     random_corpus,

@@ -162,6 +162,30 @@ def test_fit_requires_population():
         fit(corpus, store, [], fit_config())
 
 
+def test_a_population_missing_a_commenter_is_refused():
+    # the compensator would charge only the users given, and the fit would
+    # report a likelihood that leaves the others out
+    sim = random_sim_config(n_users=6, seed=3, n_cascades=20)
+    corpus = simulate_corpus(sim)
+    users = sim.users[:2]
+    missing = {e.publisher for c in corpus for e in c.comments} - set(users)
+    assert missing
+    config = FitConfig(post_decay_rate=0.1, comment_decay_rate=6.0)
+    params = replace(sim.params, post_decay_rate=0.1, comment_decay_rate=6.0)
+    calls = [
+        lambda: fit(corpus, sim.store, users, config),
+        lambda: cross_validate(corpus, sim.store, users, config),
+        lambda: corpus_log_likelihood(corpus, params, sim.store, users),
+        lambda: gradient(corpus, params, sim.store, users),
+        lambda: objective(corpus, params, sim.store, users),
+    ]
+    for call in calls:
+        with pytest.raises(EstimationError, match="not in the population") as err:
+            call()
+        assert any(repr(u) in str(err.value) for u in missing)
+    assert fit(corpus, sim.store, sim.users, config).converged
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(tolerance=0.0)

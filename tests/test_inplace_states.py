@@ -1,59 +1,41 @@
-"""The streaming state moves in place; the public functions copy.
+"""The streaming state moves in place, and only forward.
 
 `IntensityState.advance` and `JumpTable.absorb` move the state they are
 given, so `IntensityRanker`, and HWK's `PairwiseRanker`, updates the
 states it owns without a copy per call (its traces and live states are
-pinned to the copying oracle in test_jump_table.py).  `decay_state` and
-`absorb_event` still return new states and leave their input alone, and
-nothing moves a state back in time.
+pinned to the copying oracle in test_jump_table.py).  They land on the
+floats of conftest's copying oracles, and nothing moves a state back in
+time.
 """
 
 from dataclasses import astuple
 
 import pytest
 
-from hawkesfeed.core import (
-    IntensityState,
-    JumpTable,
-    absorb_event,
-    decay_state,
-)
+from hawkesfeed.core import IntensityState, JumpTable
 from hawkesfeed.rank_eval import IntensityRanker
 
-from conftest import decayed_copy, direct_store, make_cascade, make_params
+from conftest import (
+    comment_influence,
+    decayed_copy,
+    direct_store,
+    make_cascade,
+    make_params,
+)
 
 
 def state():
     return IntensityState("ana", "c0", 0.7, 0.3, 1.0)
 
 
-def test_decay_state_returns_a_new_state_and_leaves_its_input():
-    params, s = make_params(), state()
-    before = astuple(s)
-    moved = decay_state(s, 2.5, params)
-    assert moved is not s
-    assert astuple(s) == before
-    assert moved == decayed_copy(s, 2.5, params)
-    assert moved.post_term < s.post_term and moved.comment_term < s.comment_term
-
-
-def test_absorb_event_returns_a_new_state_and_leaves_its_input():
-    params, store, s = make_params(), direct_store(), state()
-    comment = make_cascade([(2.5, "bo")]).comments[0]
-    before = astuple(s)
-    moved = absorb_event(s, comment, 2.5, params, store)
-    assert moved is not s
-    assert astuple(s) == before
-    assert moved.comment_term > decay_state(s, 2.5, params).comment_term
-
-
 def test_advance_and_absorb_move_the_state_itself_to_the_copies_floats():
     params, store, s = make_params(), direct_store(), state()
     comment = make_cascade([(4.0, "bo")]).comments[0]
-    want = decay_state(s, 2.5, params)
+    want = decayed_copy(s, 2.5, params)
     assert s.advance(2.5, params) == want.intensity
     assert s == want
-    want = absorb_event(s, comment, 4.0, params, store)
+    want = decayed_copy(s, 4.0, params)
+    want.comment_term += comment_influence("ana", comment, params, store)
     assert JumpTable(params, store).absorb(s, comment, 4.0) is s
     assert s == want
 

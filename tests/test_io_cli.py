@@ -18,7 +18,7 @@ from hawkesfeed.features import (
 from hawkesfeed.fit import CVResult
 from hawkesfeed.rank_eval import GroupMetrics, RankReport, evaluate
 
-from conftest import USERS, direct_store, make_cascade, make_params, random_corpus
+from conftest import USERS, direct_store, make_params, random_corpus
 
 
 def write_lines(path, records):

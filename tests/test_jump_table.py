@@ -15,7 +15,7 @@ import pytest
 
 from hawkesfeed import core
 from hawkesfeed.baselines import fit_hwk_em, order_candidates
-from hawkesfeed.core import JumpTable, intensity, state_at
+from hawkesfeed.core import JumpTable, intensity
 from hawkesfeed.rank_eval import (
     IntensityRanker,
     PairwiseRanker,
@@ -128,10 +128,9 @@ def test_scratch_intensities_equal_the_oracle():
             for user in USERS:
                 for t in query_times(c):
                     want = scratch_state_at(user, c, t, params, store)
-                    for got in (shared.states_at(user, [c], t)[0],
-                                state_at(user, c, t, params, store)):
-                        assert got.post_term == want.post_term
-                        assert got.comment_term == want.comment_term
+                    got = shared.states_at(user, [c], t)[0]
+                    assert got.post_term == want.post_term
+                    assert got.comment_term == want.comment_term
                     assert intensity(user, c, t, params, store) == want.intensity
 
 

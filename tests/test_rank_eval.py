@@ -10,12 +10,10 @@ from hawkesfeed.core import (
     CANDIDATE_POLICIES,
     IntensityState,
     candidate_cascades,
-    decay_state,
     intensity,
 )
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.rank_eval import (
-    CoxRanker,
     IntensityRanker,
     NNRanker,
     PairwiseRanker,
@@ -30,7 +28,6 @@ from hawkesfeed.fit import FitConfig
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
 from conftest import (
-    USERS,
     direct_store,
     hwk_intensity_at_minute,
     make_cascade,
@@ -328,7 +325,8 @@ class ProbedRanker(CountedRanker):
                 # its own timestamp and the strict-left intensity see the
                 # same event set
                 touch = state.last_update_time
-                probed = decay_state(state, touch + 0.25, params)
+                probed = replace(state)  # the ranker's own state stays put
+                probed.advance(touch + 0.25, params)
                 seen = replace(c, comments=c.comments[
                     :c.count_before(math.nextafter(touch, math.inf))])
                 expected = scratch_state_at_minute(user, seen, touch + 0.25,

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hawkesfeed.baselines import order_candidates
-from hawkesfeed.core import Cascade, Event, JumpTable, ModelParams, intensity, state_at
+from hawkesfeed.core import Cascade, Event, JumpTable, ModelParams, intensity
 from hawkesfeed.errors import ConfigError
 from hawkesfeed.features import FeatureStore
 from hawkesfeed.rank_eval import (
@@ -193,7 +193,6 @@ def test_single_cascades_and_zero_length_prefixes_equal_the_oracle():
                     assert_same_state(jumps.states_at(user, [c], t)[0],
                                       scratch_state_at_minute(user, c, t, params, store))
                     want = scratch_state_at(user, c, x, params, store)
-                    assert_same_state(state_at(user, c, x, params, store), want)
                     assert intensity(user, c, x, params, store) == want.intensity
         # a batch whose prefixes are all empty: every post at the same minute
         t = corpus[-1].origin
@@ -274,7 +273,7 @@ def test_negative_time_still_raises():
     with pytest.raises(ValueError, match="negative time"):
         jumps.states_at("ana", [later], math.nextafter(2.0, -math.inf))
     with pytest.raises(ValueError, match="negative time"):
-        state_at("ana", c, -1e-9, params, store)
+        intensity("ana", c, -1e-9, params, store)
 
 
 @pytest.mark.parametrize("sizes", [[0, 6, 3], [3, 2], [3, 3, 4], [1, 1, 1]])
