@@ -563,3 +563,23 @@ def intensity(user, cascade, t, params, store):
     """
     k = bisect.bisect_left(cascade.comments, t, key=_time)
     return JumpTable(params, store)._states(user, [(cascade, t, k)], t)[0].intensity
+
+
+# An evaluation's result: `rank_eval.evaluate` fills these records and
+# `io` reads and writes them, so they sit below both.
+
+
+@dataclass
+class GroupMetrics:
+    group_id: str
+    ave_rank: float
+    nave_rank: float
+    mean_activity: float
+    n_comments: int
+    rank_trace: list[int] = field(default_factory=list)
+
+
+@dataclass
+class RankReport:
+    ranker: str
+    groups: list[GroupMetrics] = field(default_factory=list)  # sorted by group id

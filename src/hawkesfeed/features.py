@@ -11,17 +11,25 @@ Counts are taken on the training corpus only and min-max normalized to
 [0, 1] per coordinate; values computed later for unseen text are scaled
 with the frozen bounds and clamped.  Users or pairs never seen in
 training read as zero vectors.
+
+Each thing is done once.  `Lexicon.counts` walks a text's tokens once
+for all categories (a token counts at most once per category).  A
+corpus's texts are counted into one matrix (`content_counts`), and a
+family of vectors is scaled by one `_apply_bounds` call on its stacked
+rows: the scaling is elementwise, so every row gets the floats it would
+get alone.  `annotate_corpus` checks all the vectors it fills in at once
+and builds the events without repeating the `Event` checks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
-from .core import Cascade, Event, corpus_participants
+from .core import Cascade, Event, _feature_vector, corpus_participants
 from .errors import ConfigError
 
 CHARACTER_FEATURES = (
@@ -73,7 +81,8 @@ class Lexicon:
     """Ordered word categories with exact or prefix matching.
 
     In prefix mode an entry ending in '*' matches every token that starts
-    with the stem; entries without '*' still match exactly.
+    with the stem; entries without '*' still match exactly.  A token counts
+    at most once per category, whether it matches a word, a stem, or both.
     """
 
     categories: dict[str, frozenset[str]]
@@ -95,14 +104,30 @@ class Lexicon:
                 self._stems[cat] = tuple(w[:-1] for w in words if w.endswith("*"))
                 clean[cat] = frozenset(w for w in words if not w.endswith("*"))
         self.categories = clean
+        # exact word -> positions of the categories holding it, and every
+        # (stem, position) pair: what `counts` reads for each token
+        index = {}
+        for i, words in enumerate(clean.values()):
+            for w in words:
+                index.setdefault(w, []).append(i)
+        self._index = {w: tuple(cats) for w, cats in index.items()}
+        self._stem_pairs = tuple(
+            (stem, i) for i, cat in enumerate(clean)
+            for stem in self._stems.get(cat, ()))
 
-    def count(self, tokens, category):
-        words = self.categories[category]
-        n = sum(1 for tok in tokens if tok in words)
-        stems = self._stems.get(category)
-        if stems:
-            n += sum(1 for tok in tokens if any(tok.startswith(s) for s in stems))
-        return n
+    def counts(self, tokens):
+        """The number of tokens in each category, in category order, from
+        one pass over the tokens."""
+        out = [0] * len(self.categories)
+        index, stem_pairs = self._index, self._stem_pairs
+        for tok in tokens:
+            hits = index.get(tok, ())
+            if stem_pairs:
+                hits = set(hits)
+                hits.update(i for stem, i in stem_pairs if tok.startswith(stem))
+            for i in hits:
+                out[i] += 1
+        return out
 
     def words(self, category):
         """Entries as written, wildcards restored; for serialization."""
@@ -128,13 +153,22 @@ def content_manifest(lexicon):
     return list(STRUCTURAL_CONTENT_FEATURES) + list(lexicon.categories)
 
 
+def content_counts(texts, lexicon):
+    """Raw counts for several texts as the rows of one (n, d) matrix: word
+    count, long words, then one count per lexicon category in manifest
+    order."""
+    rows = []
+    for text in texts:
+        tokens = tokenize(text)
+        rows.append([len(tokens), sum(1 for tok in tokens if len(tok) > 6),
+                     *lexicon.counts(tokens)])
+    width = len(STRUCTURAL_CONTENT_FEATURES) + len(lexicon.categories)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 def content_features(text, lexicon):
-    """Raw counts for one piece of text: word count, long words, then one
-    count per lexicon category in manifest order."""
-    tokens = tokenize(text)
-    counts = [len(tokens), sum(1 for tok in tokens if len(tok) > 6)]
-    counts += [lexicon.count(tokens, cat) for cat in lexicon.categories]
-    return np.array(counts, dtype=float)
+    """Raw counts for one piece of text, as a row of `content_counts`."""
+    return content_counts([text], lexicon)[0]
 
 
 def content_key(cascade_id, index):
@@ -203,29 +237,40 @@ class FeatureStore:
 
     def content_from_text(self, text):
         """Normalized, clamped content vector for unseen text."""
+        return self.content_from_texts([text])[0]
+
+    def content_from_texts(self, texts):
+        """`content_from_text` of each text, as the rows of one matrix."""
         if self.lexicon is None:
             raise ConfigError("store has no lexicon, cannot extract from text")
         if self.content_bounds is None:
             raise ConfigError("store has no content bounds, normalize on training data first")
-        raw = content_features(text, self.lexicon)
-        return _apply_bounds(raw, self.content_bounds, clamp=True)
-
-
-def _minmax_bounds(rows):
-    stacked = np.vstack(rows)
-    return stacked.min(axis=0), stacked.max(axis=0)
+        return _apply_bounds(content_counts(texts, self.lexicon), self.content_bounds,
+                             clamp=True)
 
 
 def _apply_bounds(values, bounds, clamp=False):
+    """Min-max scaling of a vector, or of each row of a matrix: elementwise,
+    so a row of a matrix gets the floats it would get alone."""
     lo, hi = bounds
     span = hi - lo
     out = np.zeros_like(values, dtype=float)
     varying = span > 0
-    out[varying] = (values[varying] - lo[varying]) / span[varying]
+    out[..., varying] = (values[..., varying] - lo[varying]) / span[varying]
     # constant coordinates carry no information and read as 0
     if clamp:
         out = np.clip(out, 0.0, 1.0)
     return out
+
+
+def _normalized(vectors, pinned=None):
+    """Min-max bounds of a {key: vector} map and the map scaled by them,
+    every vector by one `_apply_bounds` call; a `pinned` row counts toward
+    the bounds only."""
+    stacked = np.vstack(list(vectors.values()))
+    rows = stacked if pinned is None else np.vstack([stacked, pinned])
+    bounds = rows.min(axis=0), rows.max(axis=0)
+    return bounds, dict(zip(vectors, _apply_bounds(stacked, bounds)))
 
 
 def extract_features(cascades, lexicon=None):
@@ -247,7 +292,7 @@ def extract_features(cascades, lexicon=None):
             row = rel[(a, b)] = np.zeros(len(RELATIONSHIP_FEATURES))
         return row
 
-    content = {}
+    text_keys, texts = [], []
     content_dim = None
     if lexicon is not None:
         content_dim = len(STRUCTURAL_CONTENT_FEATURES) + len(lexicon.categories)
@@ -286,9 +331,8 @@ def extract_features(cascades, lexicon=None):
                     )
                 continue
             if e.text is not None and lexicon is not None:
-                content[content_key(cascade.cascade_id, idx)] = content_features(
-                    e.text, lexicon
-                )
+                text_keys.append(content_key(cascade.cascade_id, idx))
+                texts.append(e.text)
 
     # distinct-count character coordinates need their own pass over the pairs
     posts_by = {}
@@ -301,6 +345,9 @@ def extract_features(cascades, lexicon=None):
         row[3] = len(posts_by.get(u, ()))
         row[4] = len(authors_by.get(u, ()))
 
+    content = {}
+    if texts:
+        content = dict(zip(text_keys, content_counts(texts, lexicon)))
     names = (
         content_manifest(lexicon)
         if lexicon is not None
@@ -325,20 +372,15 @@ def normalize_store(store):
     """
     if store.normalized:
         return store
-    character = dict(store.character)
-    relationship = dict(store.relationship)
-    content = dict(store.content)
+    character, relationship, content = {}, {}, {}
     char_bounds = rel_bounds = content_bounds = None
-    if character:
-        char_bounds = _minmax_bounds(list(character.values()))
-        character = {u: _apply_bounds(v, char_bounds) for u, v in character.items()}
-    if relationship:
-        rows = list(relationship.values()) + [np.zeros(len(RELATIONSHIP_FEATURES))]
-        rel_bounds = _minmax_bounds(rows)
-        relationship = {k: _apply_bounds(v, rel_bounds) for k, v in relationship.items()}
-    if content:
-        content_bounds = _minmax_bounds(list(content.values()))
-        content = {k: _apply_bounds(v, content_bounds) for k, v in content.items()}
+    if store.character:
+        char_bounds, character = _normalized(store.character)
+    if store.relationship:
+        rel_bounds, relationship = _normalized(
+            store.relationship, np.zeros(len(RELATIONSHIP_FEATURES)))
+    if store.content:
+        content_bounds, content = _normalized(store.content)
     return FeatureStore(
         pair_names=list(store.pair_names),
         content_names=list(store.content_names),
@@ -365,23 +407,41 @@ def annotate_corpus(cascades, store):
     lexicon on its text, else none (read as zeros).  Every reader, serving
     included, takes the vector from the event, so a corpus is annotated
     before `prioritize` or `intensity` sees it, as `rank` and `evaluate`
-    do.  A cascade with nothing to fill is returned as it is."""
+    do.  A cascade with nothing to fill is returned as it is.
+
+    The texts to fill are counted and bounded as one matrix, and every new
+    vector is checked once, together, to lie in [0, 1] (a NaN is refused
+    too), as the `Event` constructor would check it; the events are then
+    built without the constructor's checks."""
     from_text = store.lexicon is not None and store.content_bounds is not None
-    out = []
-    for c in cascades:
-        events = None
+    filled, texts = [], []  # (cascade position, event index, map vector or None)
+    for pos, c in enumerate(cascades):
         for idx, e in enumerate(chain((c.post,), c.comments)):
             if e.content_features.size:
                 continue
             v = store.content.get(content_key(c.cascade_id, idx))
-            if v is None and from_text and e.text is not None:
-                v = store.content_from_text(e.text)
             if v is not None:
-                events = events or c.events
-                events[idx] = Event(e.time, e.publisher, np.asarray(v, dtype=float), e.text)
-        out.append(c if events is None else Cascade(
-            c.cascade_id, events[0], events[1:], c.window_end,
-            c.group_id, c.origin, c.truncated))
+                filled.append((pos, idx, _feature_vector(v)))
+            elif from_text and e.text is not None:
+                filled.append((pos, idx, None))
+                texts.append(e.text)
+    out = list(cascades)
+    if not filled:
+        return out
+    from_texts = iter(store.content_from_texts(texts) if texts else ())
+    vectors = [next(from_texts) if v is None else v for _, _, v in filled]
+    values = np.concatenate(vectors)
+    # written so that a NaN, which fails every comparison, is refused too
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError("content features must lie in [0, 1]; normalize first")
+    for pos, group in groupby(zip(filled, vectors), key=lambda item: item[0][0]):
+        c = out[pos]
+        events = c.events
+        for (_, idx, _), v in group:
+            e = events[idx]
+            events[idx] = Event._trusted(e.time, e.publisher, v, e.text)
+        out[pos] = Cascade(c.cascade_id, events[0], events[1:], c.window_end,
+                           c.group_id, c.origin, c.truncated)
     return out
 
 

@@ -14,36 +14,56 @@ nonzero first `t` (the cascade is rebased), or from the post's ISO-8601
 event times are nudged apart on load, and a missing "window_end" becomes
 the last event plus the 12-hour activity horizon.
 
+Store and model files are written compactly (no indentation or spaces)
+and streamed to the file by `json.dump`; they read back to the same
+values as an indented file.
+
 Readers parse inside `_boundary`, the one place where a value refused
 by a parser or a constructor becomes a `DataFormatError` naming the file
-and line.  Every vector a feature store holds must have the length its
-manifest implies and finite, nonnegative values; in a normalized store,
-content values are also at most 1.  A vector of numbers (content, weights,
-stored features) holds JSON numbers only: `true` and `false` are refused,
-though Python would read them as 1 and 0.
+and line.  A corpus line's event fields are checked in one batch per
+cascade: their types, then what the `Event` constructor checks (times
+and content values); the events are built without repeating those
+checks.  A cascade that fails a batch is read again event by event, so
+the first event refused raises its own error.  Every vector a feature
+store holds must have the length its manifest implies and finite,
+nonnegative values; in a normalized store, content values are also at
+most 1.  A vector of numbers (content, weights, stored features) holds
+JSON numbers only: `true` and `false` are refused, though Python would
+read them as 1 and 0.
+
+This module builds on `core`, `features` and `errors` only; the
+simulator config reader imports `simulate` when it is called.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .core import ACTIVITY_HORIZON, Cascade, Event, ModelParams, separate_ties
+from .core import (
+    ACTIVITY_HORIZON,
+    Cascade,
+    Event,
+    GroupMetrics,
+    ModelParams,
+    RankReport,
+    separate_ties,
+)
 from .errors import ConfigError, DataFormatError
 from .features import CHARACTER_FEATURES, RELATIONSHIP_FEATURES, FeatureStore, Lexicon
-from .rank_eval import GroupMetrics, RankReport
-from .simulate import random_sim_config
 
 FORMAT_VERSION = 1
 
 _REQUIRED = object()
 _LARGEST = np.finfo(float).max
 _NUMBER_TYPES = frozenset((int, float))
+_TEXT_TYPES = frozenset((str, type(None)))
 
 
 @contextmanager
@@ -135,11 +155,38 @@ def _load_object(path):
 
 def _dump_object(path, record):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
+        json.dump(record, fh, separators=(",", ":"))
         fh.write("\n")
 
 
 # -------------------------------------------------------------------- corpus
+
+
+def _event_fields(raw_events):
+    """Each event record's time, publisher, text and content values, as
+    four lists.  The fields of all events are checked in one batch; when
+    the batch finds a fault, the records are read one at a time, so the
+    first field refused raises its own error."""
+    if all(type(e) is dict for e in raw_events):
+        times = [e.get("t") for e in raw_events]
+        publishers = [e.get("publisher") for e in raw_events]
+        texts = [e.get("text") for e in raw_events]
+        vectors = [e.get("content_features") for e in raw_events]
+        given = [v for v in vectors if v is not None]
+        if (_NUMBER_TYPES.issuperset(map(type, times))
+                and all(type(p) is str for p in publishers)
+                and _TEXT_TYPES.issuperset(map(type, texts))
+                and all(type(v) is list for v in given)
+                and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(given)))):
+            return (list(map(float, times)), publishers, texts,
+                    [[] if v is None else v for v in vectors])
+    parsed = [
+        (_number(_object(e), "t"), _field(e, "publisher", str),
+         _field(e, "text", str, None),
+         _numbers(_field(e, "content_features", list, []), "content_features"))
+        for e in raw_events
+    ]
+    return tuple(map(list, zip(*parsed)))
 
 
 def _read_cascade(record):
@@ -147,14 +194,7 @@ def _read_cascade(record):
     raw_events = _field(record, "events", list)
     if not raw_events:
         raise ValueError(f"cascade {cascade_id!r} has no events")
-    parsed = [
-        (_number(_object(e), "t"), _field(e, "publisher", str),
-         _field(e, "text", str, None),
-         _numbers(_field(e, "content_features", list, []), "content_features"),
-         e.get("wall_clock"))
-        for e in raw_events
-    ]
-    times = [p[0] for p in parsed]
+    times, publishers, texts, vectors = _event_fields(raw_events)
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"cascade {cascade_id!r} event times decrease")
     origin = _number(record, "origin", None)
@@ -164,18 +204,16 @@ def _read_cascade(record):
     elif times[0] != 0:
         origin = times[0]
         times = [t - origin for t in times]
-    elif parsed[0][4] is not None:
-        origin = _wall_clock_minutes(parsed[0][4])
+    elif raw_events[0].get("wall_clock") is not None:
+        origin = _wall_clock_minutes(raw_events[0]["wall_clock"])
     else:
         origin = 0.0
     times = separate_ties(times)
     window_end = _number(record, "window_end", None)
     if window_end is None:
         window_end = times[-1] + ACTIVITY_HORIZON
-    events = [
-        Event(t, publisher, features, text)
-        for t, (_, publisher, text, features, _) in zip(times, parsed)
-    ]
+    events = list(map(Event._trusted, times, publishers,
+                      _event_contents(times, vectors), texts))
     return Cascade(
         cascade_id=cascade_id,
         post=events[0],
@@ -185,6 +223,25 @@ def _read_cascade(record):
         origin=origin,
         truncated=_field(record, "truncated", bool, False),
     )
+
+
+def _event_contents(times, vectors):
+    """Each event's content vector as a float array, with a cascade's times
+    and vectors checked in one batch for what the `Event` constructor
+    checks: a finite time >= 0, and content values in [0, 1].  When the
+    batch fails, the events go through the constructor in order, so the
+    first one refused raises the constructor's own error."""
+    try:
+        flat = np.array(list(chain.from_iterable(vectors)), dtype=float)
+    except OverflowError:
+        flat = None
+    # written so that a NaN, which fails every comparison, is refused too
+    if not (flat is not None and all(0.0 <= t < math.inf for t in times)
+            and (not flat.size or (flat.min() >= 0.0 and flat.max() <= 1.0))):
+        for t, v in zip(times, vectors):
+            Event(t, "", v)
+    ends = accumulate(map(len, vectors))
+    return [flat[end - len(v):end] for end, v in zip(ends, vectors)]
 
 
 def read_corpus(path):
@@ -449,7 +506,12 @@ _SIM_KEYS = {
 
 
 def read_sim_config(path, seed=None):
-    """Simulator configuration; `seed` overrides the file's value."""
+    """Simulator configuration; `seed` overrides the file's value.
+
+    The checked keywords go to `simulate.random_sim_config`, imported here
+    and not with the module: the format layer sits below the simulator."""
+    from .simulate import random_sim_config
+
     with _boundary(f"simulator config file {path}"):
         kwargs = _load_object(path)
         unknown = set(kwargs) - _SIM_KEYS

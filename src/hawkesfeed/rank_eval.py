@@ -32,14 +32,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .baselines import cox_covariate, fit_cox, fit_hwk_em, order_candidates
 from .core import (
     ACTIVITY_HORIZON,
+    GroupMetrics,
     JumpTable,
+    RankReport,
     _content_scores,
     candidate_cascades,
     comment_stream,
@@ -336,12 +338,22 @@ class NNRanker(RecencyRanker):
             (1.0 - EWMA_SMOOTHING) * profile + EWMA_SMOOTHING * v)
 
     def representative(self, cascade, t):
-        """Mean content of the cascade's events strictly before global minute t."""
+        """Mean content of the cascade's events strictly before global minute t.
+
+        The comments' rows come from `Cascade.columns`, stacked under the
+        post's: the matrix `event_content` would give row by row, so
+        `np.mean` returns the same floats.  When the columns are not as
+        wide as the store's content (no comment carries content, or widths
+        differ), the per-event rule decides: zeros, or a refusal."""
         d = self.store.content_dim
         if not cascade.origin < t:  # the post, at time 0, is not before t either
             return np.zeros(d)
-        events = (cascade.post, *cascade.comments[:cascade.count_before(t)])
-        return np.mean([event_content(e, d) for e in events], axis=0)
+        k = cascade.count_before(t)
+        content = cascade.columns.content
+        if content is None or content.shape[1] != d:
+            events = (cascade.post, *cascade.comments[:k])
+            return np.mean([event_content(e, d) for e in events], axis=0)
+        return np.mean(np.vstack((event_content(cascade.post, d), content[:k])), axis=0)
 
     def rank(self, user, t, candidates):
         profile = self.profiles.get(user)
@@ -418,22 +430,6 @@ def make_ranker(name, train_cascades, store=None, fit_config=None,
 
 
 # ------------------------------------------------------------------- harness
-
-
-@dataclass
-class GroupMetrics:
-    group_id: str
-    ave_rank: float
-    nave_rank: float
-    mean_activity: float
-    n_comments: int
-    rank_trace: list[int] = field(default_factory=list)
-
-
-@dataclass
-class RankReport:
-    ranker: str
-    groups: list[GroupMetrics] = field(default_factory=list)  # sorted by group id
 
 
 def evaluate_group(ranker, test_cascades, group_id="default", policy="all",

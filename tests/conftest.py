@@ -2,7 +2,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -18,6 +18,7 @@ from hawkesfeed.baselines import (
 from hawkesfeed.core import (
     ACTIVITY_HORIZON,
     Cascade,
+    CascadeColumns,
     Event,
     IntensityState,
     JumpTable,
@@ -28,7 +29,14 @@ from hawkesfeed.core import (
     in_play_order,
 )
 from hawkesfeed.errors import ConfigError, EstimationError
-from hawkesfeed.features import DEMO_LEXICON_WORDS, FeatureStore, build_feature_store
+from hawkesfeed.features import (
+    DEMO_LEXICON_WORDS,
+    RELATIONSHIP_FEATURES,
+    FeatureStore,
+    build_feature_store,
+    content_key,
+    tokenize,
+)
 from hawkesfeed.fit import _full_mask
 from hawkesfeed.likelihood import (
     build_corpus_terms,
@@ -295,6 +303,104 @@ def relationship_features(a, b, cascades):
     )
 
 
+# The text pipeline as it was before it counted and bounded whole corpora
+# at once: one walk over the tokens per lexicon category, one
+# `_apply_bounds` call per vector, and every filled event and cascade built
+# through its checking constructor.  Kept as the oracle for `Lexicon.counts`,
+# `content_counts`, `content_from_texts`, `normalize_store` and
+# `annotate_corpus`, with one correction: a token counts at most once per
+# category (the per-category count once counted a token twice that matched
+# a word and a stem of its category).
+
+
+def lexicon_count(lexicon, tokens, category):
+    words = lexicon.categories[category]
+    stems = lexicon._stems.get(category, ())
+    return sum(1 for tok in tokens
+               if tok in words or any(tok.startswith(s) for s in stems))
+
+
+def content_features_loop(text, lexicon):
+    tokens = tokenize(text)
+    counts = [len(tokens), sum(1 for tok in tokens if len(tok) > 6)]
+    counts += [lexicon_count(lexicon, tokens, cat) for cat in lexicon.categories]
+    return np.array(counts, dtype=float)
+
+
+def minmax_bounds_loop(rows):
+    stacked = np.vstack(rows)
+    return stacked.min(axis=0), stacked.max(axis=0)
+
+
+def apply_bounds_loop(values, bounds, clamp=False):
+    lo, hi = bounds
+    span = hi - lo
+    out = np.zeros_like(values, dtype=float)
+    varying = span > 0
+    out[varying] = (values[varying] - lo[varying]) / span[varying]
+    if clamp:
+        out = np.clip(out, 0.0, 1.0)
+    return out
+
+
+def content_from_text_loop(store, text):
+    return apply_bounds_loop(content_features_loop(text, store.lexicon),
+                             store.content_bounds, clamp=True)
+
+
+def normalize_store_loop(store):
+    if store.normalized:
+        return store
+    character = dict(store.character)
+    relationship = dict(store.relationship)
+    content = dict(store.content)
+    char_bounds = rel_bounds = content_bounds = None
+    if character:
+        char_bounds = minmax_bounds_loop(list(character.values()))
+        character = {u: apply_bounds_loop(v, char_bounds) for u, v in character.items()}
+    if relationship:
+        rows = list(relationship.values()) + [np.zeros(len(RELATIONSHIP_FEATURES))]
+        rel_bounds = minmax_bounds_loop(rows)
+        relationship = {k: apply_bounds_loop(v, rel_bounds)
+                        for k, v in relationship.items()}
+    if content:
+        content_bounds = minmax_bounds_loop(list(content.values()))
+        content = {k: apply_bounds_loop(v, content_bounds) for k, v in content.items()}
+    return FeatureStore(
+        pair_names=list(store.pair_names),
+        content_names=list(store.content_names),
+        character=character,
+        relationship=relationship,
+        pairs=dict(store.pairs),
+        content=content,
+        character_bounds=char_bounds,
+        relationship_bounds=rel_bounds,
+        content_bounds=content_bounds,
+        lexicon=store.lexicon,
+        normalized=True,
+    )
+
+
+def annotate_corpus_loop(cascades, store):
+    from_text = store.lexicon is not None and store.content_bounds is not None
+    out = []
+    for c in cascades:
+        events = None
+        for idx, e in enumerate(chain((c.post,), c.comments)):
+            if e.content_features.size:
+                continue
+            v = store.content.get(content_key(c.cascade_id, idx))
+            if v is None and from_text and e.text is not None:
+                v = content_from_text_loop(store, e.text)
+            if v is not None:
+                events = events or c.events
+                events[idx] = Event(e.time, e.publisher, np.asarray(v, dtype=float), e.text)
+        out.append(c if events is None else Cascade(
+            c.cascade_id, events[0], events[1:], c.window_end,
+            c.group_id, c.origin, c.truncated))
+    return out
+
+
 # Every jump recomputed from the weights and features on every call, as
 # the package did before `JumpTable`.  Kept verbatim (the scratch state
 # renamed) as the oracle the table's intensities must equal exactly.
@@ -408,7 +514,8 @@ def recency_scan(cascade, t):
 # only what its cascade did before t.  `GrowingCascade` is `Cascade` as it
 # was then, with `append` and the prefix rule over the comments it holds.
 # Kept verbatim, the copy made without `dataclasses.replace`, as the
-# oracle for `evaluate_group`'s traces.
+# oracle for `evaluate_group`'s traces; `columns`, which NN's
+# representative reads, is built afresh from the comments held on each read.
 
 
 @dataclass(eq=False)
@@ -442,6 +549,10 @@ class GrowingCascade:
         if k:
             return self.comments[k - 1]
         return self.post if self.origin + self.post.time < t else None
+
+    @property
+    def columns(self):
+        return CascadeColumns.of(self.comments)
 
 
 def walk_minutes_copies(cascades):

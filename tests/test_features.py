@@ -77,12 +77,25 @@ def test_lexicon_prefix_matching():
     lex = Lexicon({"psy:affective": ["happi*", "sad"]}, matching_mode="prefix")
     tokens = tokenize("happiness happily sad sadly")
     # happi* takes happiness and happily; sad has no star so sadly misses
-    assert lex.count(tokens, "psy:affective") == 3
+    assert lex.counts(tokens) == [3]
 
 
 def test_lexicon_exact_mode_matches_whole_tokens_only():
     lex = Lexicon({"a": ["run", "happi*"]})
-    assert lex.count(tokenize("run running happiness"), "a") == 1
+    assert lex.counts(tokenize("run running happiness")) == [1]
+
+
+def test_prefix_lexicon_counts_a_token_once_per_category():
+    # "happy" is both a word and a stem match of psy:pos; it once counted twice
+    lex = Lexicon({"psy:pos": ["happy", "hap*"], "lng:x": ["sad"]}, "prefix")
+    assert lex.counts(tokenize("happy")) == [1, 0]
+    assert content_features("happy happen", lex).tolist() == [2, 0, 2, 0]
+    assert lex.counts(tokenize("happy sad happen sad")) == [2, 2]
+
+
+def test_lexicon_counts_a_word_in_every_category_that_holds_it():
+    lex = Lexicon({"a": ["run", "sad"], "b": ["run"], "c": ["walk"]})
+    assert lex.counts(tokenize("run, run sad")) == [3, 2, 0]
 
 
 def test_lexicon_rejects_empty_category():

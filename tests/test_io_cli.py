@@ -202,7 +202,7 @@ def test_prefix_lexicon_round_trip_preserves_wildcards(tmp_path):
     loaded = io.read_lexicon(path)
     assert loaded.matching_mode == "prefix"
     assert loaded.words("psy:positive_emotion") == ["love", "happi*"]
-    assert loaded.count(["happiness"], "psy:positive_emotion") == 1
+    assert loaded.counts(["happiness"]) == [1]
 
 
 def test_duplicate_lexicon_category_is_rejected(tmp_path):
