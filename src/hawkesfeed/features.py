@@ -29,7 +29,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .core import Cascade, Event, _feature_vector, corpus_participants
+from .core import Cascade, Event, corpus_participants
 from .errors import ConfigError
 
 CHARACTER_FEATURES = (
@@ -166,11 +166,6 @@ def content_counts(texts, lexicon):
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def content_features(text, lexicon):
-    """Raw counts for one piece of text, as a row of `content_counts`."""
-    return content_counts([text], lexicon)[0]
-
-
 def content_key(cascade_id, index):
     """Key of an event in the store's content map; index 0 is the post."""
     return f"{cascade_id}:{index}"
@@ -184,7 +179,7 @@ class FeatureStore:
     character vectors and sparse directed relationship vectors and compose
     publisher-user vectors on demand.  Synthetic or custom stores can
     instead carry explicit vectors in `pairs`, keyed (user, publisher).
-    The per-event content map and `content_from_text` are read by
+    The per-event content map and `content_from_texts` are read by
     `annotate_corpus` alone, which puts each event's vector on the event.
     """
 
@@ -235,12 +230,9 @@ class FeatureStore:
             self.relationship.get((user, publisher), zeros_r),
         ])
 
-    def content_from_text(self, text):
-        """Normalized, clamped content vector for unseen text."""
-        return self.content_from_texts([text])[0]
-
     def content_from_texts(self, texts):
-        """`content_from_text` of each text, as the rows of one matrix."""
+        """Normalized, clamped content vectors for unseen texts, as the rows
+        of one matrix."""
         if self.lexicon is None:
             raise ConfigError("store has no lexicon, cannot extract from text")
         if self.content_bounds is None:
@@ -410,9 +402,11 @@ def annotate_corpus(cascades, store):
     do.  A cascade with nothing to fill is returned as it is.
 
     The texts to fill are counted and bounded as one matrix, and every new
-    vector is checked once, together, to lie in [0, 1] (a NaN is refused
-    too), as the `Event` constructor would check it; the events are then
-    built without the constructor's checks."""
+    vector is checked once, together, to be one-dimensional and lie in
+    [0, 1] (a NaN is refused too), as the `Event` constructor would check
+    it; the events are then built without the constructor's checks.  When
+    the batch fails, the vectors go through the constructor in corpus
+    order, so the first one refused raises the constructor's own error."""
     from_text = store.lexicon is not None and store.content_bounds is not None
     filled, texts = [], []  # (cascade position, event index, map vector or None)
     for pos, c in enumerate(cascades):
@@ -421,7 +415,9 @@ def annotate_corpus(cascades, store):
                 continue
             v = store.content.get(content_key(c.cascade_id, idx))
             if v is not None:
-                filled.append((pos, idx, _feature_vector(v)))
+                v = np.asarray(v, dtype=float)
+                # a vector of another shape is refused below, in corpus order
+                filled.append((pos, idx, np.ascontiguousarray(v) if v.ndim == 1 else v))
             elif from_text and e.text is not None:
                 filled.append((pos, idx, None))
                 texts.append(e.text)
@@ -430,10 +426,11 @@ def annotate_corpus(cascades, store):
         return out
     from_texts = iter(store.content_from_texts(texts) if texts else ())
     vectors = [next(from_texts) if v is None else v for _, _, v in filled]
-    values = np.concatenate(vectors)
+    values = np.concatenate(vectors) if all(v.ndim == 1 for v in vectors) else None
     # written so that a NaN, which fails every comparison, is refused too
-    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
-        raise ValueError("content features must lie in [0, 1]; normalize first")
+    if values is None or (values.size and not (values.min() >= 0.0 and values.max() <= 1.0)):
+        for v in vectors:  # the constructor refuses the first bad one, in corpus order
+            Event(0.0, "", v)
     for pos, group in groupby(zip(filled, vectors), key=lambda item: item[0][0]):
         c = out[pos]
         events = c.events

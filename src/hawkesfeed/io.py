@@ -20,16 +20,16 @@ values as an indented file.
 
 Readers parse inside `_boundary`, the one place where a value refused
 by a parser or a constructor becomes a `DataFormatError` naming the file
-and line.  A corpus line's event fields are checked in one batch per
-cascade: their types, then what the `Event` constructor checks (times
-and content values); the events are built without repeating those
-checks.  A cascade that fails a batch is read again event by event, so
-the first event refused raises its own error.  Every vector a feature
-store holds must have the length its manifest implies and finite,
-nonnegative values; in a normalized store, content values are also at
-most 1.  A vector of numbers (content, weights, stored features) holds
-JSON numbers only: `true` and `false` are refused, though Python would
-read them as 1 and 0.
+and line.  A corpus line's events are parsed field by field; then the
+cascade's times and content values are checked in one batch for what
+the `Event` constructor checks, and the events are built without
+repeating those checks.  A cascade that fails the batch goes through the
+constructor event by event, so the first event refused raises its own
+error.  Every vector a feature store holds must have the length its
+manifest implies and finite, nonnegative values; in a normalized store,
+content values are also at most 1.  A vector of numbers (content,
+weights, stored features) holds JSON numbers only: `true` and `false` are
+refused, though Python would read them as 1 and 0.
 
 This module builds on `core`, `features` and `errors` only; the
 simulator config reader imports `simulate` when it is called.
@@ -63,7 +63,6 @@ FORMAT_VERSION = 1
 _REQUIRED = object()
 _LARGEST = np.finfo(float).max
 _NUMBER_TYPES = frozenset((int, float))
-_TEXT_TYPES = frozenset((str, type(None)))
 
 
 @contextmanager
@@ -162,39 +161,18 @@ def _dump_object(path, record):
 # -------------------------------------------------------------------- corpus
 
 
-def _event_fields(raw_events):
-    """Each event record's time, publisher, text and content values, as
-    four lists.  The fields of all events are checked in one batch; when
-    the batch finds a fault, the records are read one at a time, so the
-    first field refused raises its own error."""
-    if all(type(e) is dict for e in raw_events):
-        times = [e.get("t") for e in raw_events]
-        publishers = [e.get("publisher") for e in raw_events]
-        texts = [e.get("text") for e in raw_events]
-        vectors = [e.get("content_features") for e in raw_events]
-        given = [v for v in vectors if v is not None]
-        if (_NUMBER_TYPES.issuperset(map(type, times))
-                and all(type(p) is str for p in publishers)
-                and _TEXT_TYPES.issuperset(map(type, texts))
-                and all(type(v) is list for v in given)
-                and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(given)))):
-            return (list(map(float, times)), publishers, texts,
-                    [[] if v is None else v for v in vectors])
+def _read_cascade(record):
+    cascade_id = _field(record, "cascade_id", str)
+    raw_events = _field(record, "events", list)
+    if not raw_events:
+        raise ValueError(f"cascade {cascade_id!r} has no events")
     parsed = [
         (_number(_object(e), "t"), _field(e, "publisher", str),
          _field(e, "text", str, None),
          _numbers(_field(e, "content_features", list, []), "content_features"))
         for e in raw_events
     ]
-    return tuple(map(list, zip(*parsed)))
-
-
-def _read_cascade(record):
-    cascade_id = _field(record, "cascade_id", str)
-    raw_events = _field(record, "events", list)
-    if not raw_events:
-        raise ValueError(f"cascade {cascade_id!r} has no events")
-    times, publishers, texts, vectors = _event_fields(raw_events)
+    times, publishers, texts, vectors = map(list, zip(*parsed))
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"cascade {cascade_id!r} event times decrease")
     origin = _number(record, "origin", None)

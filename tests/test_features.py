@@ -14,7 +14,7 @@ from hawkesfeed.features import (
     Lexicon,
     annotate_corpus,
     build_feature_store,
-    content_features,
+    content_counts,
     demo_lexicon,
     extract_features,
     feature_set_masks,
@@ -60,7 +60,7 @@ def test_tokenize_empty():
 def test_content_features_hand_counts():
     lex = demo_lexicon()
     text = "I really love them; they went observing quickly!"
-    v = content_features(text, lex)
+    v = content_counts([text], lex)[0]
     names = ["lng:word_count", "lng:long_words"] + list(lex.categories)
     row = dict(zip(names, v))
     assert row["lng:word_count"] == 8
@@ -89,7 +89,7 @@ def test_prefix_lexicon_counts_a_token_once_per_category():
     # "happy" is both a word and a stem match of psy:pos; it once counted twice
     lex = Lexicon({"psy:pos": ["happy", "hap*"], "lng:x": ["sad"]}, "prefix")
     assert lex.counts(tokenize("happy")) == [1, 0]
-    assert content_features("happy happen", lex).tolist() == [2, 0, 2, 0]
+    assert content_counts(["happy happen"], lex)[0].tolist() == [2, 0, 2, 0]
     assert lex.counts(tokenize("happy sad happen sad")) == [2, 2]
 
 
@@ -174,9 +174,9 @@ def test_extracted_content_counts_match_direct_extraction():
     c.comments[0].content_features = np.zeros(0)
     store = extract_features([c], lexicon=lex)
     assert np.array_equal(store.content["T:0"],
-                          content_features(c.post.text, lex))
+                          content_counts([c.post.text], lex)[0])
     assert np.array_equal(store.content["T:1"],
-                          content_features(c.comments[0].text, lex))
+                          content_counts([c.comments[0].text], lex)[0])
 
 
 # ----------------------------------------------------------- normalization
@@ -225,7 +225,7 @@ def test_content_from_text_clamps_to_training_range():
         corpus.append(c)
     store = build_feature_store(corpus, lexicon=lex)
     long_text = " ".join(["word"] * 100)
-    v = store.content_from_text(long_text)
+    v = store.content_from_texts([long_text])[0]
     assert v.max() <= 1.0 and v.min() >= 0.0
     assert v[0] == 1.0  # word count far above the training max, clamped
 
@@ -233,7 +233,7 @@ def test_content_from_text_clamps_to_training_range():
 def test_content_from_text_requires_lexicon_and_bounds():
     store = FeatureStore(pair_names=table_pair_manifest(), content_names=["x"])
     with pytest.raises(ConfigError):
-        store.content_from_text("hello")
+        store.content_from_texts(["hello"])
 
 
 # ------------------------------------------------------------ store lookups

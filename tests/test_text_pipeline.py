@@ -147,9 +147,9 @@ def test_stores_and_annotation_equal_the_per_event_path(data, lexicon):
     assert_same_annotation(annotate_corpus(test, store),
                            annotate_corpus_loop(test, oracle), test)
     if store.content_bounds is not None:
-        for text in ("", "extraordinary " * 40):
-            assert same_bytes(store.content_from_text(text),
-                              content_from_text_loop(oracle, text))
+        texts = ["", "extraordinary " * 40]
+        for row, text in zip(store.content_from_texts(texts), texts):
+            assert same_bytes(row, content_from_text_loop(oracle, text))
 
 
 def test_annotation_clamps_and_zeroes_constant_coordinates_as_the_loop():
@@ -196,6 +196,24 @@ def test_annotation_refuses_a_map_vector_of_two_dimensions():
     corpus = [Cascade("c", Event(0.0, "u"), [Event(1.0, "v")], 30.0)]
     for annotate in (annotate_corpus, annotate_corpus_loop):
         with pytest.raises(ValueError, match="one-dimensional"):
+            annotate(corpus, store)
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (np.array([0.1, 1.5]), np.array([[0.1, 0.2]]), r"must lie in \[0, 1\]"),
+    (np.array([[0.1, 0.2]]), np.array([0.1, 1.5]), "one-dimensional"),
+    (np.array([np.nan, 0.2]), np.array(0.5), "must lie in"),
+    (np.array(0.5), np.array([np.nan, 0.2]), "one-dimensional"),
+])
+def test_annotation_refuses_the_first_bad_map_vector_in_corpus_order(first, second,
+                                                                     message):
+    # the later bad vector sits in a later cascade, after a good one
+    store = FeatureStore(pair_names=["p0"], content_names=["c0", "c1"],
+                         content={"a:1": first, "b:0": np.array([0.3, 0.4]),
+                                  "b:1": second})
+    corpus = [Cascade(cid, Event(0.0, "u"), [Event(1.0, "v")], 30.0) for cid in "ab"]
+    for annotate in (annotate_corpus, annotate_corpus_loop):
+        with pytest.raises(ValueError, match=message):
             annotate(corpus, store)
 
 
