@@ -14,6 +14,7 @@ produce genuinely sparse solutions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,7 +69,7 @@ class FitResult:
     params: ModelParams
     objective_trace: list[float]
     iterations: int
-    converged: bool
+    converged: bool                  # stopped by tolerance at a finite log-likelihood
     final_objective: float
     log_likelihood: float
     penalty: tuple
@@ -223,7 +224,7 @@ def fit(cascades, store, users, config=None, on_iterate=None):
         params=params,
         objective_trace=trace,
         iterations=it,
-        converged=stop_reason == "tolerance",
+        converged=stop_reason == "tolerance" and math.isfinite(loglik),
         final_objective=trace[-1],
         log_likelihood=loglik,
         penalty=tuple(z),

@@ -280,13 +280,12 @@ def log_likelihood_derivatives(terms, theta, floor=None, order=1):
         if lam.size and lam.min() <= 0.0:
             return -np.inf, None, None
         safe = lam
-        coef = 1.0 / safe
     else:
         safe = np.maximum(lam, floor)
-        coef = np.where(lam >= floor, 1.0 / safe, 0.0)
     value = float(np.log(safe).sum() - comp)
     if order < 1:
         return value, None, None
+    coef = 1.0 / safe if floor is None else np.where(lam >= floor, 1.0 / safe, 0.0)
     grad = x.T @ coef - terms.compensator
     if order < 2:
         return value, grad, None

@@ -1,5 +1,8 @@
+import argparse
 import dataclasses
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -512,6 +515,46 @@ def test_cli_fit_warns_when_it_does_not_converge(tmp_path, capsys):
     assert diagnostics["projected_gradient_norm"] > 0.0
 
 
+def text_corpus(path, seed, n_cascades):
+    """A text-only corpus drawn as the CI real-corpus step draws it."""
+    rng = random.Random(seed)
+    words = ("i them very really love nice hurt ugly know cause eat pain "
+             "walk went see many few mate talk happy cried observing heard "
+             "the a post reply about this think agree").split()
+    users = [f"u{i}" for i in range(6)]
+
+    def cascade(i):
+        times = sorted(rng.uniform(0.0, 150.0) for _ in range(rng.randint(2, 12)))
+        events = [{"t": t, "publisher": rng.choice(users),
+                   "text": " ".join(rng.choices(words, k=rng.randint(3, 14)))}
+                  for t in [0.0] + times]
+        return {"cascade_id": f"c{i:03d}", "origin": 20.0 * i,
+                "window_end": 200.0, "events": events}
+
+    write_lines(path, [cascade(i) for i in range(n_cascades)])
+
+
+def test_cli_fit_at_minus_infinite_log_likelihood_is_not_converged(tmp_path, capsys):
+    # under the default decay rates this corpus's fit stops by tolerance at
+    # all-zero weights, where every comment has zero intensity
+    train = tmp_path / "train.jsonl"
+    text_corpus(train, 7, 30)
+    store = tmp_path / "store.json"
+    model = tmp_path / "model.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(train), "--features", str(store),
+                 "--out", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: fit did not converge")
+    assert "log-likelihood -inf" in captured.err
+    assert "converged" not in captured.out
+    diagnostics = json.loads(model.read_text())["diagnostics"]
+    assert diagnostics["converged"] is False
+    assert diagnostics["log_likelihood"] == -math.inf
+    assert diagnostics["stop_reason"] == "tolerance"
+
+
 def test_cli_fit_reports_why_it_converged(tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     cli_corpus(train, 6, 21, "tr")
@@ -697,3 +740,50 @@ def test_a_penalty_grid_without_cv_is_a_usage_error(capsys):
         main(FIT + ["--penalty-grid", "0,5"])
     assert err.value.code == 2
     assert "--penalty-grid is searched only with --cv" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    train = tmp_path / "train.jsonl"
+    test = tmp_path / "test.jsonl"
+    cli_corpus(train, 4, 81, "tr")
+    cli_corpus(test, 2, 82, "te")
+    store = tmp_path / "store.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    one_build = list(built)
+    assert one_build.count("hawkesfeed") == 1
+    for ranker in ("RCHR", "NN"):
+        assert main(["evaluate", ranker, "--train", str(train), "--test", str(test),
+                     "--features", str(store),
+                     "--out", str(tmp_path / f"{ranker}.jsonl")]) == 0
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert built == one_build
+
+
+def test_main_calls_share_no_state(tmp_path):
+    train = tmp_path / "train.jsonl"
+    cli_corpus(train, 6, 21, "tr")
+    store = tmp_path / "store.json"
+    model = tmp_path / "model.json"
+    assert main(["extract-features", str(train), "--out", str(store)]) == 0
+    fit = ["fit", str(train), "--features", str(store), "--out", str(model),
+           "--max-iterations", "5", "--post-decay", "0.05", "--comment-decay", "0.8"]
+    with pytest.raises(SystemExit) as err:
+        main(fit + ["--penalty-grid", "0,1"])
+    assert err.value.code == 2
+    assert not model.exists()
+    assert main(fit + ["--penalty", "1"]) == 0
+    assert json.loads(model.read_text())["diagnostics"]["penalty"] == [1.0] * 4
+    assert main(fit) == 0
+    diagnostics = json.loads(model.read_text())["diagnostics"]
+    assert diagnostics["penalty"] == [0.0] * 4
+    assert "cv_table" not in diagnostics
