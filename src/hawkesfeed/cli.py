@@ -198,11 +198,13 @@ def cmd_fit(args):
     if result.converged:
         print(f"fit converged {summary}")
     else:
-        print(
-            f"warning: fit did not converge (stopped by {result.stop_reason}, "
-            f"projected-gradient norm {result.projected_gradient_norm:.3g}) {summary}",
-            file=sys.stderr,
-        )
+        if math.isfinite(result.log_likelihood):
+            cause = (f"stopped by {result.stop_reason}, projected-gradient norm "
+                     f"{result.projected_gradient_norm:.3g}")
+        else:
+            cause = ("ended at a non-finite log-likelihood, with some comment's "
+                     "intensity at the floor")
+        print(f"warning: fit did not converge ({cause}) {summary}", file=sys.stderr)
     return 0
 
 

@@ -115,23 +115,23 @@ def _newton_direction(theta, grad, hess, lower, upper, mask):
     its slope, the compensator plus the penalty, is never negative;
     `fit_cox` masks out the coordinates its likelihood is flat in.  The
     rest take a Newton step on the free-set Hessian."""
-    curv = np.diag(hess)
+    curv = hess.diagonal()
     band = min(_ACTIVE_BAND, float(np.linalg.norm(
         np.where(mask, theta - np.clip(theta - grad, lower, upper), 0.0))))
     gap = _gap(theta, grad, lower, upper)
     finite = np.isfinite(gap)  # an infinite gap is never passed; inf * 0 is not formed
     past = mask & finite & (np.where(finite, gap, 0.0) * curv <= np.abs(grad))
     within = mask & (grad != 0) & (gap <= band) & ~past
-    newton = mask & ~past & ~within & (curv > 0)
+    free = np.flatnonzero(mask & ~past & ~within & (curv > 0))
     direction = np.zeros_like(theta)
     direction[past] = np.where(grad >= 0, -gap, gap)[past]
     direction[within] = -grad[within] / curv[within]
-    if newton.any():
+    if free.size:
         # Jacobi scaling, plus a ridge for singular free-set Hessians
-        s = 1.0 / np.sqrt(curv[newton])
-        h = s[:, None] * hess[np.ix_(newton, newton)] * s[None, :]
-        h[np.diag_indices_from(h)] += _RIDGE
-        direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
+        s = 1.0 / np.sqrt(curv[free])
+        h = s[:, None] * hess[free[:, None], free] * s[None, :]
+        h.flat[::free.size + 1] += _RIDGE
+        direction[free] = -s * np.linalg.solve(h, s * grad[free])
     return direction
 
 

@@ -14,13 +14,19 @@ nonzero first `t` (the cascade is rebased), or from the post's ISO-8601
 event times are nudged apart on load, and a missing "window_end" becomes
 the last event plus the 12-hour activity horizon.
 
-Store and model files are written compactly (no indentation or spaces)
-and streamed to the file by `json.dump`; they read back to the same
-values as an indented file.
+Every writer streams its file as records, each encoded by the C JSON
+encoder: a corpus or report line per cascade or group, and a store or
+model file as one compact object (no indentation or spaces) written a
+top-level value, or a row of a list-valued one, at a time.  The bytes are
+those `json.dump` would write, and no writer holds the whole file as one
+string; a corpus writer holds one cascade's record at a time, so its
+memory is bounded by the largest cascade, not by the corpus.
 
 Readers parse inside `_boundary`, the one place where a value refused
 by a parser or a constructor becomes a `DataFormatError` naming the file
-and line.  A corpus line's events are parsed field by field; then the
+and line.  A corpus line's events are parsed one call each: the common
+JSON types are taken as they are, and any other value goes through the
+field checks, which refuse it with their own message.  Then the
 cascade's times and content values are checked in one batch for what
 the `Event` constructor checks, and the events are built without
 repeating those checks.  A cascade that fails the batch goes through the
@@ -40,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import accumulate, chain
 
@@ -63,6 +68,8 @@ FORMAT_VERSION = 1
 _REQUIRED = object()
 _LARGEST = np.finfo(float).max
 _NUMBER_TYPES = frozenset((int, float))
+# `encode` takes the C encoder; `json.dump` always runs the Python one
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @contextmanager
@@ -153,12 +160,41 @@ def _load_object(path):
 
 
 def _dump_object(path, record):
+    """`record` as one compact JSON object on one line, the bytes that
+    `json.dump(record, fh, separators=(",", ":"))` writes; each top-level
+    value, and each row of a list-valued one, is encoded on its own."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(record.items()):
+            fh.write(("," if i else "") + _ENCODE(key) + ":")
+            if isinstance(value, list):
+                fh.write("[")
+                for j, row in enumerate(value):
+                    fh.write(("," if j else "") + _ENCODE(row))
+                fh.write("]")
+            else:
+                fh.write(_ENCODE(value))
+        fh.write("}\n")
 
 
 # -------------------------------------------------------------------- corpus
+
+
+def _event_fields(e):
+    """(t, publisher, text, content values) of one event record.  Fields of
+    the common JSON types are taken as they are; anything else goes through
+    the field checks, which refuse it with their own message."""
+    if type(e) is dict:
+        t, publisher = e.get("t"), e.get("publisher")
+        text, vector = e.get("text"), e.get("content_features")
+        if (type(t) in _NUMBER_TYPES and type(publisher) is str
+                and (text is None or type(text) is str)
+                and (vector is None or (type(vector) is list
+                                        and _NUMBER_TYPES.issuperset(map(type, vector))))):
+            return float(t), publisher, text, [] if vector is None else vector
+    return (_number(_object(e), "t"), _field(e, "publisher", str),
+            _field(e, "text", str, None),
+            _numbers(_field(e, "content_features", list, []), "content_features"))
 
 
 def _read_cascade(record):
@@ -166,13 +202,7 @@ def _read_cascade(record):
     raw_events = _field(record, "events", list)
     if not raw_events:
         raise ValueError(f"cascade {cascade_id!r} has no events")
-    parsed = [
-        (_number(_object(e), "t"), _field(e, "publisher", str),
-         _field(e, "text", str, None),
-         _numbers(_field(e, "content_features", list, []), "content_features"))
-        for e in raw_events
-    ]
-    times, publishers, texts, vectors = map(list, zip(*parsed))
+    times, publishers, texts, vectors = map(list, zip(*map(_event_fields, raw_events)))
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"cascade {cascade_id!r} event times decrease")
     origin = _number(record, "origin", None)
@@ -249,8 +279,7 @@ def write_corpus(path, cascades):
             record["content_features"] = e.content_features.tolist()
         return record
 
-    records = []
-    for c in cascades:
+    def cascade_record(c):
         events = [
             event_record(c.post, _wall_clock_text(c.origin) if c.origin else None)
         ]
@@ -265,8 +294,10 @@ def write_corpus(path, cascades):
             record["origin"] = c.origin
         if c.truncated:
             record["truncated"] = True
-        records.append(record)
-    _write_lines(path, records)
+        return record
+
+    # one cascade's record at a time: memory grows with the largest cascade
+    _write_lines(path, map(cascade_record, cascades))
 
 
 # ------------------------------------------------------------------- lexicon
@@ -440,12 +471,8 @@ def read_store(path):
 
 
 def write_report(path, report):
-    records = []
-    for g in sorted(report.groups, key=lambda g: g.group_id):
-        record = {"ranker": report.ranker}
-        record.update(asdict(g))
-        records.append(record)
-    _write_lines(path, records)
+    _write_lines(path, ({"ranker": report.ranker, **vars(g)}
+                        for g in sorted(report.groups, key=lambda g: g.group_id)))
 
 
 def read_report(path):

@@ -512,7 +512,8 @@ def evaluate(ranker_name, train_cascades, test_cascades, store=None,
             warnings.warn(f"group {gid!r} has no scorable test cascades", stacklevel=2)
             continue
         if store is not None:
-            train = annotate_corpus(train, store)
+            # serving reads the events as they are; every ranker that reads
+            # training content annotates its training set itself
             kept = annotate_corpus(kept, store)
         ranker = make_ranker(ranker_name, train, store, fit_config, model_params)
         report.groups.append(evaluate_group(ranker, kept, gid, policy))

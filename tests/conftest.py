@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ from operator import itemgetter
 import numpy as np
 import pytest
 
+from hawkesfeed import io
 from hawkesfeed.baselines import (
     WEIGHT_CAP,
     CoxParams,
@@ -33,11 +35,12 @@ from hawkesfeed.features import (
     DEMO_LEXICON_WORDS,
     RELATIONSHIP_FEATURES,
     FeatureStore,
+    annotate_corpus,
     build_feature_store,
     content_key,
     tokenize,
 )
-from hawkesfeed.fit import _full_mask
+from hawkesfeed.fit import _ACTIVE_BAND, _RIDGE, _full_mask, _gap
 from hawkesfeed.likelihood import (
     build_corpus_terms,
     comment_links,
@@ -682,7 +685,8 @@ def cox_hessian_loop(weights, design):
 def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
                  tolerance=1e-10, weight_cap=WEIGHT_CAP,
                  activity_horizon=ACTIVITY_HORIZON):
-    """Maximize the partial likelihood by gradient ascent with backtracking.
+    """Maximize the partial likelihood by gradient ascent with backtracking,
+    on the corpus annotated from `store` as `fit_cox` annotates it.
 
     The partial likelihood is concave; separation would push weights to
     infinity, so coordinates are capped at +-weight_cap with a warning.
@@ -692,7 +696,8 @@ def fit_cox_loop(cascades, store, feature_indices=None, max_iterations=500,
     feature_indices = np.asarray(feature_indices, dtype=int)
     if feature_indices.size == 0:
         raise EstimationError("no content features selected")
-    design = cox_design_loop(cascades, store, feature_indices, activity_horizon)
+    design = cox_design_loop(annotate_corpus(cascades, store), store, feature_indices,
+                             activity_horizon)
     if not design:
         raise EstimationError("training corpus has no comments, nothing to fit")
     if all(rows.shape[0] == 1 for rows, _ in design):
@@ -829,6 +834,32 @@ def newton_direction_orthant(theta, grad, hess, mask):
         s = 1.0 / np.sqrt(curv[newton])
         h = s[:, None] * hess[np.ix_(newton, newton)] * s[None, :]
         h[np.diag_indices_from(h)] += 1e-10
+        direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
+    return direction
+
+
+# `fit._newton_direction` as it was before it took integer indices: the
+# free block through `np.ix_` on boolean masks and the ridge through
+# `np.diag_indices_from`.  Kept as the oracle for the same floats.
+
+
+def newton_direction_masks(theta, grad, hess, lower, upper, mask):
+    curv = np.diag(hess)
+    band = min(_ACTIVE_BAND, float(np.linalg.norm(
+        np.where(mask, theta - np.clip(theta - grad, lower, upper), 0.0))))
+    gap = _gap(theta, grad, lower, upper)
+    finite = np.isfinite(gap)  # an infinite gap is never passed; inf * 0 is not formed
+    past = mask & finite & (np.where(finite, gap, 0.0) * curv <= np.abs(grad))
+    within = mask & (grad != 0) & (gap <= band) & ~past
+    newton = mask & ~past & ~within & (curv > 0)
+    direction = np.zeros_like(theta)
+    direction[past] = np.where(grad >= 0, -gap, gap)[past]
+    direction[within] = -grad[within] / curv[within]
+    if newton.any():
+        # Jacobi scaling, plus a ridge for singular free-set Hessians
+        s = 1.0 / np.sqrt(curv[newton])
+        h = s[:, None] * hess[np.ix_(newton, newton)] * s[None, :]
+        h[np.diag_indices_from(h)] += _RIDGE
         direction[newton] = -s * np.linalg.solve(h, s * grad[newton])
     return direction
 
@@ -976,3 +1007,53 @@ def sim_setup():
         origin_spacing=3.0,
     )
     return config, simulate_corpus(config)
+
+
+# The io writers and the corpus event parse as they were before every file
+# streamed through the C encoder: store and model files through
+# `json.dump`, a corpus as the list of all its records before the first
+# line, and each event through five field checks.  Kept as the oracles for
+# the same bytes and the same refusals.
+
+
+def dump_object_json(path, record):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, separators=(",", ":"))
+        fh.write("\n")
+
+
+def write_corpus_list(path, cascades):
+    def event_record(e, wall_clock=None):
+        record = {"t": e.time, "publisher": e.publisher}
+        if wall_clock is not None:
+            record["wall_clock"] = wall_clock
+        if e.text is not None:
+            record["text"] = e.text
+        if e.content_features.size:
+            record["content_features"] = e.content_features.tolist()
+        return record
+
+    records = []
+    for c in cascades:
+        events = [
+            event_record(c.post, io._wall_clock_text(c.origin) if c.origin else None)
+        ]
+        events += [event_record(e) for e in c.comments]
+        record = {
+            "cascade_id": c.cascade_id,
+            "group_id": c.group_id,
+            "window_end": c.window_end,
+            "events": events,
+        }
+        if c.origin:
+            record["origin"] = c.origin
+        if c.truncated:
+            record["truncated"] = True
+        records.append(record)
+    io._write_lines(path, records)
+
+
+def event_fields_checked(e):
+    return (io._number(io._object(e), "t"), io._field(e, "publisher", str),
+            io._field(e, "text", str, None),
+            io._numbers(io._field(e, "content_features", list, []), "content_features"))

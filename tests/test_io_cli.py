@@ -548,6 +548,9 @@ def test_cli_fit_at_minus_infinite_log_likelihood_is_not_converged(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith("warning: fit did not converge")
     assert "log-likelihood -inf" in captured.err
+    # the warning names the -inf log-likelihood as the cause, not the stop
+    assert "(ended at a non-finite log-likelihood" in captured.err
+    assert "stopped by" not in captured.err
     assert "converged" not in captured.out
     diagnostics = json.loads(model.read_text())["diagnostics"]
     assert diagnostics["converged"] is False

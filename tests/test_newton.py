@@ -1,11 +1,13 @@
 """Projected Newton fit: stop reasons, singular Hessians, masks, the
 monotone trace on the full text model, the box-bounded core on its own,
-and `fit`'s iterates against the loop it was factored out of."""
+`fit`'s iterates against the loop it was factored out of, and the Newton
+direction against its boolean-mask form."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hawkesfeed.core import corpus_participants
 from hawkesfeed.features import (
@@ -16,6 +18,7 @@ from hawkesfeed.features import (
 )
 from hawkesfeed.fit import (
     FitConfig,
+    _newton_direction,
     _projected_newton,
     fit,
     projected_gradient_norm,
@@ -23,7 +26,13 @@ from hawkesfeed.fit import (
 from hawkesfeed.likelihood import gradient, penalty_weights
 from hawkesfeed.simulate import random_sim_config, simulate_corpus
 
-from conftest import USERS, direct_store, fit_loop, random_corpus
+from conftest import (
+    USERS,
+    direct_store,
+    fit_loop,
+    newton_direction_masks,
+    random_corpus,
+)
 
 
 def fit_config(**kw):
@@ -225,3 +234,51 @@ def test_core_stops_on_a_line_search_no_step_passes():
     assert it == 1 and trace == [0.0]
     assert theta.tolist() == start.tolist()
     assert g.tolist() == grad.tolist()
+
+
+# ------------------------------------------------------- Newton direction
+
+
+@st.composite
+def newton_cases(draw):
+    """(theta, grad, hess, lower, upper, mask) as `fit` (the orthant) and
+    `fit_cox` (a box) pass them, or with bounds per coordinate, some
+    infinite; theta sits inside the bounds, some coordinates on them.  The
+    Hessian is A A^T with rows and columns zeroed (zero curvature); a mask
+    or active coordinates can leave the free set empty."""
+    n = draw(st.integers(1, 6))
+    # near 0, a coordinate falls inside the active band of a bound at 0
+    values = st.sampled_from([0.0, 1.0, -1.0, 1e-4, -1e-4, 1e-6, -1e-6]) | st.floats(
+        -10.0, 10.0)
+    bounds = draw(st.sampled_from(["orthant", "box", "mixed"]))
+    if bounds == "orthant":
+        lower, upper = 0.0, np.inf
+    elif bounds == "box":
+        lower, upper = -5.0, 5.0
+    else:
+        lower = np.array(draw(st.lists(st.sampled_from([-np.inf, -2.0, 0.0]),
+                                       min_size=n, max_size=n)))
+        upper = np.array(draw(st.lists(st.sampled_from([0.5, 3.0, np.inf]),
+                                       min_size=n, max_size=n)))
+    theta = np.clip(draw(st.lists(values, min_size=n, max_size=n)), lower, upper)
+    grad = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    k = draw(st.integers(1, n))
+    a = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k)),
+                 dtype=float).reshape(n, k)
+    hess = a @ a.T
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    hess[flat, :] = 0.0
+    hess[:, flat] = 0.0
+    mask = draw(st.just(True) | st.lists(st.booleans(), min_size=n, max_size=n)
+                .map(np.array))
+    return theta, grad, hess, lower, upper, mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(newton_cases())
+# one coordinate in the band, one past its bound, one free with an infinite gap
+@example((np.array([1e-4, 0.0, 2.0]), np.array([1e-6, 1.0, -0.5]),
+          np.diag([1.0, 1.0, 2.0]), 0.0, np.inf, True))
+def test_newton_direction_matches_the_mask_form(case):
+    assert np.array_equal(_newton_direction(*case), newton_direction_masks(*case))
+
