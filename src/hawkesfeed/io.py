@@ -18,15 +18,13 @@ Every writer streams its file as records, each encoded by the C JSON
 encoder: a corpus or report line per cascade or group, and a store or
 model file as one compact object (no indentation or spaces) written a
 top-level value, or a row of a list-valued one, at a time.  The bytes are
-those `json.dump` would write, and no writer holds the whole file as one
-string; a corpus writer holds one cascade's record at a time, so its
-memory is bounded by the largest cascade, not by the corpus.
+those `json.dump` would write.  A corpus writer holds one cascade's
+record at a time, so its memory is bounded by the largest cascade, not
+by the corpus.
 
 Readers parse inside `_boundary`, the one place where a value refused
 by a parser or a constructor becomes a `DataFormatError` naming the file
-and line.  A corpus line's events are parsed one call each: the common
-JSON types are taken as they are, and any other value goes through the
-field checks, which refuse it with their own message.  Then the
+and line.  A corpus line's events are parsed field by field; then the
 cascade's times and content values are checked in one batch for what
 the `Event` constructor checks, and the events are built without
 repeating those checks.  A cascade that fails the batch goes through the
@@ -160,9 +158,10 @@ def _load_object(path):
 
 
 def _dump_object(path, record):
-    """`record` as one compact JSON object on one line, the bytes that
-    `json.dump(record, fh, separators=(",", ":"))` writes; each top-level
-    value, and each row of a list-valued one, is encoded on its own."""
+    """`record` as one compact JSON object on one line, the bytes of
+    `json.dump(record, fh, separators=(",", ":"))`.  Each top-level value,
+    and each row of a list-valued one, is encoded on its own: encoding the
+    whole record as one string nearly triples the traced peak."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(record.items()):
@@ -180,29 +179,18 @@ def _dump_object(path, record):
 # -------------------------------------------------------------------- corpus
 
 
-def _event_fields(e):
-    """(t, publisher, text, content values) of one event record.  Fields of
-    the common JSON types are taken as they are; anything else goes through
-    the field checks, which refuse it with their own message."""
-    if type(e) is dict:
-        t, publisher = e.get("t"), e.get("publisher")
-        text, vector = e.get("text"), e.get("content_features")
-        if (type(t) in _NUMBER_TYPES and type(publisher) is str
-                and (text is None or type(text) is str)
-                and (vector is None or (type(vector) is list
-                                        and _NUMBER_TYPES.issuperset(map(type, vector))))):
-            return float(t), publisher, text, [] if vector is None else vector
-    return (_number(_object(e), "t"), _field(e, "publisher", str),
-            _field(e, "text", str, None),
-            _numbers(_field(e, "content_features", list, []), "content_features"))
-
-
 def _read_cascade(record):
     cascade_id = _field(record, "cascade_id", str)
     raw_events = _field(record, "events", list)
     if not raw_events:
         raise ValueError(f"cascade {cascade_id!r} has no events")
-    times, publishers, texts, vectors = map(list, zip(*map(_event_fields, raw_events)))
+    parsed = [
+        (_number(_object(e), "t"), _field(e, "publisher", str),
+         _field(e, "text", str, None),
+         _numbers(_field(e, "content_features", list, []), "content_features"))
+        for e in raw_events
+    ]
+    times, publishers, texts, vectors = map(list, zip(*parsed))
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError(f"cascade {cascade_id!r} event times decrease")
     origin = _number(record, "origin", None)
@@ -296,6 +284,11 @@ def write_corpus(path, cascades):
             record["truncated"] = True
         return record
 
+    # an origin that cannot be written as a wall clock refuses the corpus
+    # before the file is opened, so no partial file is left
+    for c in cascades:
+        if c.origin:
+            _wall_clock_text(c.origin)
     # one cascade's record at a time: memory grows with the largest cascade
     _write_lines(path, map(cascade_record, cascades))
 

@@ -1009,11 +1009,10 @@ def sim_setup():
     return config, simulate_corpus(config)
 
 
-# The io writers and the corpus event parse as they were before every file
-# streamed through the C encoder: store and model files through
-# `json.dump`, a corpus as the list of all its records before the first
-# line, and each event through five field checks.  Kept as the oracles for
-# the same bytes and the same refusals.
+# The io writers as they were before every file went through the C
+# encoder: store and model files through `json.dump`, a corpus as the list
+# of all its records before the first line.  Kept as the oracles for the
+# same bytes.
 
 
 def dump_object_json(path, record):
@@ -1052,8 +1051,3 @@ def write_corpus_list(path, cascades):
         records.append(record)
     io._write_lines(path, records)
 
-
-def event_fields_checked(e):
-    return (io._number(io._object(e), "t"), io._field(e, "publisher", str),
-            io._field(e, "text", str, None),
-            io._numbers(io._field(e, "content_features", list, []), "content_features"))

@@ -1,8 +1,9 @@
-"""The io writers stream records through the C JSON encoder and write the
-bytes the whole-record writers wrote; the corpus reader parses each event
-in one call and refuses the same first bad event, with the same message,
-as the field checks alone."""
+"""The io writers encode through the C JSON encoder and write the bytes the
+whole-record writers wrote; a corpus is written one cascade at a time, and
+an origin that cannot be written leaves no file.  The corpus reader
+refuses the first bad event with that event's own message."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -10,7 +11,6 @@ import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +23,6 @@ from hawkesfeed.simulate import random_sim_config, simulate_corpus
 from conftest import (
     direct_store,
     dump_object_json,
-    event_fields_checked,
     make_params,
     random_corpus,
     text_corpus,
@@ -132,17 +131,33 @@ def test_write_corpus_memory_does_not_grow_with_the_corpus(tmp_path):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("origin", [1e300, -1e300])
+def test_an_origin_that_cannot_be_written_leaves_no_file(tmp_path, origin):
+    corpus = random_corpus(n_cascades=3, seed=5)
+    corpus[1] = dataclasses.replace(corpus[1], origin=origin)
+    fresh, kept = tmp_path / "fresh.jsonl", tmp_path / "kept.jsonl"
+    kept.write_text("kept\n")
+    for path in (fresh, kept):
+        with pytest.raises((ValueError, OverflowError)):
+            io.write_corpus(path, corpus)
+    assert not fresh.exists()
+    assert kept.read_text() == "kept\n"
+
+
 # ----------------------------------------------------------- same refusals
 
 BAD_EVENTS = {
-    "not-an-object": [2.0, "bo"],
-    "missing-t": {"publisher": "bo"},
-    "boolean-t": {"t": True, "publisher": "bo"},
-    "string-t": {"t": "2.0", "publisher": "bo"},
-    "number-publisher": {"t": 2.0, "publisher": 7},
-    "number-text": {"t": 2.0, "publisher": "bo", "text": 7},
-    "content-not-a-list": {"t": 2.0, "publisher": "bo", "content_features": {"a": 0.5}},
-    "boolean-in-content": {"t": 2.0, "publisher": "bo", "content_features": [0.5, True]},
+    "not-an-object": ([2.0, "bo"], "record is not an object"),
+    "missing-t": ({"publisher": "bo"}, "missing 't'"),
+    "boolean-t": ({"t": True, "publisher": "bo"}, "field 't' must be a number"),
+    "string-t": ({"t": "2.0", "publisher": "bo"}, "field 't' has type str"),
+    "number-publisher": ({"t": 2.0, "publisher": 7}, "field 'publisher' has type int"),
+    "number-text": ({"t": 2.0, "publisher": "bo", "text": 7},
+                    "field 'text' has type int"),
+    "content-not-a-list": ({"t": 2.0, "publisher": "bo", "content_features": {"a": 0.5}},
+                           "field 'content_features' has type dict"),
+    "boolean-in-content": ({"t": 2.0, "publisher": "bo", "content_features": [0.5, True]},
+                           "content_features must hold numbers only"),
 }
 POST = {"t": 0.0, "publisher": "ana", "text": "hello", "content_features": [0.5]}
 COMMENT = {"t": 1, "publisher": "cy", "text": None, "content_features": None}
@@ -158,29 +173,18 @@ def refusal(path):
     return str(err.value)
 
 
-@pytest.mark.parametrize("first, second", permutations(BAD_EVENTS, 2),
-                         ids="-then-".join)
-def test_read_corpus_refuses_the_first_bad_event_as_the_field_checks_do(
-        tmp_path, monkeypatch, first, second):
+BAD_PAIRS = list(permutations(BAD_EVENTS, 2))
+
+
+@pytest.mark.parametrize("first, second", BAD_PAIRS,
+                         ids=[f"{a}-then-{b}" for a, b in BAD_PAIRS])
+def test_read_corpus_refuses_the_first_bad_event_with_its_message(tmp_path, first,
+                                                                   second):
     path = tmp_path / "corpus.jsonl"
-    write_events(path, [BAD_EVENTS[first]])
+    event, message = BAD_EVENTS[first]
+    write_events(path, [event])
     alone = refusal(path)
-    write_events(path, [POST, BAD_EVENTS[first], COMMENT, BAD_EVENTS[second]])
-    got = refusal(path)
-    assert got == alone
-    monkeypatch.setattr(io, "_event_fields", event_fields_checked)
-    assert refusal(path) == got
+    assert alone == f"line 1: corpus file {path}: {message}"
+    write_events(path, [POST, event, COMMENT, BAD_EVENTS[second][0]])
+    assert refusal(path) == alone
 
-
-def test_read_corpus_takes_the_fields_the_field_checks_take(tmp_path, monkeypatch):
-    path = tmp_path / "corpus.jsonl"
-    write_events(path, [POST, COMMENT, {"t": 2.5, "publisher": "bo",
-                                        "content_features": [1]}])
-    got = io.read_corpus(path)
-    monkeypatch.setattr(io, "_event_fields", event_fields_checked)
-    want = io.read_corpus(path)
-    for a, b in zip(got[0].events, want[0].events, strict=True):
-        assert (a.time, a.publisher, a.text) == (b.time, b.publisher, b.text)
-        assert type(a.time) is float
-        assert np.array_equal(a.content_features, b.content_features)
-    assert [e.text for e in got[0].events] == ["hello", None, None]
